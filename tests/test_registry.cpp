@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/registry.hpp"
@@ -175,6 +176,46 @@ TEST(PaperScenarios, ThreadCountDoesNotChangeResults) {
   RunContext wide = serial;
   wide.threads = 4;
   EXPECT_EQ(render(*s, s->run(serial)), render(*s, s->run(wide)));
+}
+
+/// FNV-1a 64 over the rendered bytes: the digest perfbench pins in
+/// perfbench/reference/seed1.digests.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= std::uint8_t(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(PaperScenarios, ServingScenarioRenderDigestsArePinned) {
+  // The two ServingStudy scenarios draw their network legs through the
+  // vectorized NetLeg block path, which the engine equivalence tests
+  // (opaque scalar hops) do not cover. Any drift in the serving
+  // lifecycle, stream salts or report shape changes these bytes.
+  struct Pin {
+    const char* name;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  constexpr Pin kPins[] = {
+      {"edge-inference-latency", 1, 0x89a08892fb7c9582ULL},
+      {"batching-ablation", 1, 0xa1fb2abe8d63cb78ULL},
+      {"edge-inference-latency", 2, 0x43481a7aad247faeULL},
+      {"batching-ablation", 2, 0x0b3b9c23d978ae49ULL},
+  };
+  ScenarioRegistry registry;
+  register_paper_scenarios(registry);
+  for (const Pin& pin : kPins) {
+    const Scenario* s = registry.find(pin.name);
+    ASSERT_NE(s, nullptr) << pin.name;
+    RunContext ctx;
+    ctx.seed = pin.seed;
+    ctx.threads = 1;
+    EXPECT_EQ(fnv1a(render(*s, s->run(ctx))), pin.digest)
+        << pin.name << " seed " << pin.seed;
+  }
 }
 
 // ------------------------------------------------------- result shape
