@@ -22,7 +22,7 @@ namespace {
 
 using namespace sixg;
 
-edgeai::FleetStudy::DelaySampler synthetic_hop() {
+edgeai::NetLeg::Fn synthetic_hop() {
   // Shifted-exponential one-way delay (0.5 ms floor, 1.5 ms mean): the
   // shape of a compiled wired path without the topo construction cost.
   const stats::ShiftedExponential hop{0.5e-3, 1.0e-3};

@@ -11,11 +11,8 @@
 // ServingStudy (per-request std::function completion handlers, nested
 // capturing lambdas, retain-everything report, all arrivals prescheduled
 // — the only mode that engine had). The current run measures the slab
-// engine in its serving mode on the same workload: chained arrivals +
+// engine (ServingStudy as a one-server fleet: chained arrivals) with the
 // streaming report, the configuration every million-request study uses.
-// BM_ServingLegacyOrder is the slab engine pinned to the byte-identical
-// legacy event order and retained report (the mode the classic scenarios
-// run), reported without a baseline join for transparency.
 //
 // BM_ServingPeakRss reports the peak-RSS cost of a 1M-request run via
 // the `peak_rss_mb` counter (lower is better; bench_to_json emits the
@@ -93,12 +90,11 @@ edgeai::ServingStudy::Config base_config(std::uint32_t requests) {
 
 edgeai::ServingStudy::Config serving_mode_config(std::uint32_t requests) {
   auto config = base_config(requests);
-  config.chained_arrivals = true;
   config.retain_samples = false;
   return config;
 }
 
-edgeai::ServingStudy::DelaySampler synthetic_hop() {
+edgeai::NetLeg::Fn synthetic_hop() {
   // Shifted-exponential one-way delay (0.5 ms floor, 1.5 ms mean): the
   // shape of a compiled wired path without the topo construction cost.
   const stats::ShiftedExponential hop{0.5e-3, 1.0e-3};
@@ -136,22 +132,6 @@ void BM_ServingNetworked(benchmark::State& state) {
                           std::int64_t(requests));
 }
 BENCHMARK(BM_ServingNetworked)->Arg(100000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-// The byte-identical legacy event order (all arrivals prescheduled,
-// retain-everything report): what the classic scenarios run. No
-// baseline join — reported for transparency next to the serving mode.
-void BM_ServingLegacyOrder(benchmark::State& state) {
-  const auto requests = std::uint32_t(state.range(0));
-  for (auto _ : state) {
-    const auto config = base_config(requests);
-    const auto report = edgeai::ServingStudy::run(config);
-    benchmark::DoNotOptimize(report.completed);
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                          std::int64_t(requests));
-}
-BENCHMARK(BM_ServingLegacyOrder)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 // Peak memory of serving 1M requests, each engine in its native

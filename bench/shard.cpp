@@ -59,7 +59,7 @@ bool force_serial() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-edgeai::FleetStudy::DelaySampler synthetic_hop(double shift_s,
+edgeai::NetLeg::Fn synthetic_hop(double shift_s,
                                                double mean_s) {
   // Shifted-exponential one-way delay: the shape of a compiled wired
   // path without the topo construction cost.

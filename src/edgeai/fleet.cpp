@@ -60,18 +60,34 @@ constexpr std::uint64_t kHedgeTag = 0xff;
 /// draining). Only reachable when a fault schedule is active.
 constexpr std::uint32_t kNoServer = std::numeric_limits<std::uint32_t>::max();
 
+/// Streaming-report shape: the end-to-end histogram spans [0, 250) ms in
+/// 500 bins; quantiles are exact up to the reservoir's default cap.
+constexpr double kHistHiMs = 250.0;
+constexpr std::size_t kHistBins = 500;
+
+/// Seed-derivation salts of an engine's arrival, uplink and downlink
+/// streams and of its quantile reservoir.
+struct StreamSalts {
+  std::uint64_t arrival;
+  std::uint64_t uplink;
+  std::uint64_t downlink;
+  std::uint64_t reservoir;
+};
+constexpr StreamSalts kFleetSalts{0xf1ee, 0xf0b1, 0xfd01, 0xf95e};
+/// ServingStudy runs as a one-server fleet on its own salts, which keeps
+/// every stream it draws, and so its scenarios' bytes, as they were.
+constexpr StreamSalts kServingSalts{0xa221, 0x0b11, 0xd011, 0x9e5e};
+
 /// One fleet engine: the mutable state of one serving timeline — the
-/// request slab, the server pool and the dispatch machinery. Same event
-/// discipline as ServingEngine in serving.cpp — index-carrying inline
-/// captures, zero per-request allocations — with the server index riding
-/// along. The two engines are deliberately separate (ServingEngine is
-/// pinned to the legacy byte-identity contract; this one adds dispatch,
-/// per-server accounting and an SLO counter), but they mirror each other
-/// hop for hop: a lifecycle fix in one almost certainly belongs in the
-/// other.
+/// request slab, the server pool and the dispatch machinery. Every hop
+/// of the request lifecycle is an index-carrying event that fits the
+/// kernel's inline action storage, so steady-state serving performs
+/// zero heap allocations per request. Arrivals are chained: each one
+/// schedules the next, so O(1) arrivals are pending at any time.
 ///
-/// The engine borrows its Simulator, so the same code serves both the
-/// serial FleetStudy (one engine, one owned timeline) and the sharded
+/// The engine borrows its Simulator, so the same code serves the serial
+/// FleetStudy (one engine, one owned timeline), ServingStudy (a
+/// one-server serial fleet on its own stream salts) and the sharded
 /// fleet (one engine per shard of a netsim::ShardedSimulator). In the
 /// sharded case the `sharded`/`peers` wiring is set and remote requests
 /// travel through the cross-shard mailboxes; an engine NEVER writes
@@ -102,12 +118,15 @@ struct FleetEngine {
   Rng downlink_rng;
   stats::ShiftedExponential interarrival;
 
-  // Batch-sampling lane (see ServingEngine in serving.cpp for the
-  // determinism argument: dedicated streams, bit-identical values, only
-  // a harmless trailing overdraw). The leg blocks engage only when EVERY
-  // networked server's leg draws identically — all networked servers
-  // share the uplink (resp. downlink) stream, so one differing or opaque
-  // leg forces the whole stream back to scalar per-request draws.
+  // Batch-sampling lane: each dedicated stream is pre-drawn a block at a
+  // time through the vectorized samplers. Values and draw order are
+  // bit-identical to per-request draws; pre-drawing merely advances a
+  // stream early, which no other consumer shares (the trailing overdraw
+  // at run end lands in a discarded stream). Blocks and scratch are
+  // sized once. The leg blocks engage only when EVERY networked
+  // server's leg draws identically — all networked servers share the
+  // uplink (resp. downlink) stream, so one differing or opaque leg
+  // forces the whole stream back to scalar per-request draws.
   static constexpr std::size_t kBlock = 256;
   topo::PathBatchScratch scratch;
   std::vector<double> arrival_sec;
@@ -141,6 +160,9 @@ struct FleetEngine {
   std::uint32_t inflight = 0;
 
   FleetStudy::Report& report;
+  /// When set, every delivered request's end-to-end latency (ms) is
+  /// appended here in completion order (ServingStudy's retained samples).
+  std::vector<double>* samples = nullptr;
   EnergyBreakdown energy_sum;
   TimePoint makespan;
   std::uint32_t round_robin_cursor = 0;
@@ -213,13 +235,13 @@ struct FleetEngine {
   }
 
   FleetEngine(const FleetStudy::Config& cfg, netsim::Simulator& timeline,
-              FleetStudy::Report& rep)
+              FleetStudy::Report& rep, const StreamSalts& salts = kFleetSalts)
       : config(cfg),
         sim(timeline),
         energy(cfg.energy),
-        arrival_rng(derive_seed(cfg.seed, 0xf1ee)),
-        uplink_rng(derive_seed(cfg.seed, 0xf0b1)),
-        downlink_rng(derive_seed(cfg.seed, 0xfd01)),
+        arrival_rng(derive_seed(cfg.seed, salts.arrival)),
+        uplink_rng(derive_seed(cfg.seed, salts.uplink)),
+        downlink_rng(derive_seed(cfg.seed, salts.downlink)),
         interarrival(0.0, 1.0 / cfg.arrivals_per_second),
         report(rep),
         remote_route_rng(derive_seed(cfg.seed, kRemoteRouteSalt)),
@@ -551,8 +573,8 @@ static_assert(sizeof(RemoteDropEvent) <= netsim::InplaceAction::kInlineBytes);
 
 void FleetEngine::on_arrival() {
   if (++spawned < config.requests) {
-    // Chain the next arrival first (same tie discipline as the
-    // single-server engine).
+    // Chain the next arrival first: at an exact time tie this keeps the
+    // arrival ahead of this request's serving events.
     const Duration delta = next_interarrival();
     sim.schedule_at(sim.now() + delta, FleetArrivalEvent{this});
   }
@@ -824,6 +846,7 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
   report.e2e_ms.add(e2e_ms);
   report.e2e_q.add(e2e_ms);
   report.e2e_hist->add(e2e_ms);
+  if (samples) samples->push_back(e2e_ms);
   report.network_ms.add(net.ms());
   report.queue_ms.add(queue_wait.ms());
   report.service_ms.add(service.ms());
@@ -1280,10 +1303,12 @@ void check_config(const FleetStudy::Config& config) {
 }
 
 void init_streaming_report(FleetStudy::Report& report,
-                           const FleetStudy::Config& config) {
-  report.e2e_q = stats::ReservoirQuantile{config.quantile_cap,
-                                          derive_seed(config.seed, 0xf95e)};
-  report.e2e_hist.emplace(0.0, config.hist_hi_ms, config.hist_bins);
+                           const FleetStudy::Config& config,
+                           std::uint64_t reservoir_salt) {
+  report.e2e_q =
+      stats::ReservoirQuantile{stats::ReservoirQuantile::kDefaultCap,
+                               derive_seed(config.seed, reservoir_salt)};
+  report.e2e_hist.emplace(0.0, kHistHiMs, kHistBins);
   report.classes.resize(config.classes.size());
   for (std::size_t c = 0; c < config.classes.size(); ++c) {
     report.classes[c].name = config.classes[c].name;
@@ -1302,15 +1327,19 @@ void publish_fleet_distribution(const FleetStudy::Report& report,
   obs::Runtime::instance().publish_distribution(std::move(dist));
 }
 
-}  // namespace
-
-FleetStudy::Report FleetStudy::run(const Config& config) {
+/// One serial run on an owned timeline: FleetStudy::run, and
+/// ServingStudy::run as a one-server fleet. `samples`, when set,
+/// collects every delivered request's e2e latency in completion order.
+FleetStudy::Report run_serial(const FleetStudy::Config& config,
+                              const StreamSalts& salts,
+                              std::vector<double>* samples) {
   check_config(config);
-  Report report;
-  init_streaming_report(report, config);
+  FleetStudy::Report report;
+  init_streaming_report(report, config, salts.reservoir);
 
   netsim::Simulator sim(config.seed);
-  FleetEngine engine{config, sim, report};
+  FleetEngine engine{config, sim, report, salts};
+  engine.samples = samples;
   setup_engine(engine, config);
   sim.run();
 
@@ -1327,6 +1356,50 @@ FleetStudy::Report FleetStudy::run(const Config& config) {
     report.throughput_per_s = double(report.completed) / makespan_sec;
     report.goodput_per_s = double(report.within_slo) / makespan_sec;
   }
+  return report;
+}
+
+}  // namespace
+
+FleetStudy::Report FleetStudy::run(const Config& config) {
+  return run_serial(config, kFleetSalts, nullptr);
+}
+
+ServingStudy::Report ServingStudy::run(const Config& config) {
+  FleetStudy::Config fleet;
+  fleet.model = config.model;
+  fleet.arrivals_per_second = config.arrivals_per_second;
+  fleet.requests = config.requests;
+  fleet.energy = config.energy;
+  fleet.seed = config.seed;
+  FleetStudy::ServerSpec& server = fleet.servers.emplace_back();
+  server.accelerator = config.accelerator;
+  server.batching = config.batching;
+  server.tier = config.uplink ? ExecutionTier::kEdge : ExecutionTier::kDevice;
+  server.uplink = config.uplink;
+  server.downlink = config.downlink;
+
+  Report report;
+  std::vector<double>* samples = nullptr;
+  if (config.retain_samples) {
+    report.e2e_samples_ms.reserve(config.requests);
+    samples = &report.e2e_samples_ms;
+  }
+  FleetStudy::Report served = run_serial(fleet, kServingSalts, samples);
+  report.e2e_ms = served.e2e_ms;
+  report.e2e_q = std::move(served.e2e_q);
+  report.network_ms = served.network_ms;
+  report.queue_ms = served.queue_ms;
+  report.service_ms = served.service_ms;
+  report.batch_size = served.batch_size;
+  report.e2e_hist = std::move(served.e2e_hist);
+  report.completed = served.completed;
+  report.dropped = served.dropped;
+  report.batches = served.batches;
+  report.throughput_per_s = served.throughput_per_s;
+  report.mean_energy = served.mean_energy;
+  // Samples are final here: take the sorted snapshot within() probes.
+  report.finalize();
   return report;
 }
 
@@ -1358,7 +1431,8 @@ ShardedFleetStudy::Report ShardedFleetStudy::run(const Config& config) {
   engines.reserve(config.shards);
   for (std::uint32_t k = 0; k < config.shards; ++k) {
     shard_configs[k].seed = netsim::shard_seed(config.shard.seed, k);
-    init_streaming_report(shard_reports[k], shard_configs[k]);
+    init_streaming_report(shard_reports[k], shard_configs[k],
+                          kFleetSalts.reservoir);
     engines.push_back(std::make_unique<FleetEngine>(
         shard_configs[k], kernel.shard(k), shard_reports[k]));
     peers[k] = engines.back().get();

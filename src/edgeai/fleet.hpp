@@ -75,8 +75,6 @@ struct ResilienceConfig {
 /// Runs one fleet-serving workload on one simulator timeline.
 class FleetStudy {
  public:
-  using DelaySampler = ServingStudy::DelaySampler;
-
   /// One server of the fleet. Network legs are per server (the hop to
   /// an edge site differs from the WAN detour to a cloud region); both
   /// set or both null (on-device tier), as in ServingStudy. When every
@@ -133,10 +131,6 @@ class FleetStudy {
     /// kTierAffine spills to the next tier at this per-server load.
     std::uint32_t tier_spill_depth = 16;
     std::uint64_t seed = 1;
-    /// Streaming-report shape (see ServingStudy::Config).
-    double hist_hi_ms = 250.0;
-    std::size_t hist_bins = 500;
-    std::size_t quantile_cap = stats::ReservoirQuantile::kDefaultCap;
 
     /// Seed-derived fault schedule (docs/ARCHITECTURE.md "Fault model").
     /// Defaults to no faults. `servers` defaults to the fleet size and

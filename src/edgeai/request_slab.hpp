@@ -1,16 +1,16 @@
-/// @file request_slab.hpp — the preallocated per-request record store of
-/// the serving engine. One SoA slab sized to the configured request count
-/// up front; every kernel event in the serving lifecycle carries a slab
-/// index instead of a capturing closure, so the uplink -> submit ->
-/// complete -> downlink chain performs zero heap allocations per request.
+/// @file request_slab.hpp — the per-request record store of the serving
+/// engine. One SoA slab that grows to the in-flight high-water mark and
+/// recycles its slots; every kernel event in the serving lifecycle
+/// carries a slab index instead of a capturing closure, so the uplink ->
+/// submit -> complete -> downlink chain performs zero heap allocations
+/// per request in steady state.
 ///
 /// The slab deliberately stores only what outlives a single event hop:
 /// the device-start timestamp (needed at record time, born at arrival)
 /// and the lifecycle state. Values born at one hop and consumed at the
 /// next — the uplink draw, queue/service shares, batch size — ride the
 /// 48-byte inline event capture or the server queue's payload word, which
-/// keeps the slab at 9 bytes/request (a million-request run is ~9 MB, not
-/// the hundreds of MB the closure-based lifecycle peaked at).
+/// keeps a record at 9 bytes.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 
 namespace sixg::edgeai {
 
-/// SoA request records, indexed by arrival order ("slot").
+/// SoA request records, indexed by slot (recycled once a request settles).
 struct RequestSlab {
   /// Lifecycle of one request; transitions are asserted by the engines.
   enum class State : std::uint8_t {
@@ -78,17 +78,10 @@ struct RequestSlab {
     cls.assign(state.size(), 0);
   }
 
-  void resize(std::size_t requests) {
-    device_start.assign(requests, TimePoint{});
-    state.assign(requests, State::kScheduled);
-    if (hardened) enable_hardening();
-    if (classed) enable_classes();
-  }
-
-  /// Append one idle record and return its slot. Engines that recycle
-  /// slots through a free list (the fleet engine: in-flight requests are
-  /// bounded by queue capacity, not the request count) grow on demand
-  /// instead of sizing the slab to the whole run up front — that is what
+  /// Append one idle record and return its slot. The engine recycles
+  /// slots through a free list (in-flight requests are bounded by queue
+  /// capacity, not the request count), so the slab grows on demand
+  /// instead of being sized to the whole run up front — that is what
   /// keeps a 100M-request sharded city run in O(in-flight) memory.
   [[nodiscard]] std::uint32_t grow() {
     device_start.push_back(TimePoint{});

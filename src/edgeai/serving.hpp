@@ -4,20 +4,18 @@
 /// reports the latency decomposition, batching behaviour and per-request
 /// energy. One ServingStudy run = one Simulator timeline = one seed.
 ///
-/// The request lifecycle runs on a preallocated RequestSlab with
-/// index-carrying kernel events (see docs/ARCHITECTURE.md "Serving hot
-/// path"): steady-state serving performs zero heap allocations per
-/// request, and the RNG draw order is contractually the legacy order
-/// (arrival, uplink and downlink streams are independent; uplink draws
-/// happen in arrival order, downlink draws in completion order).
+/// A ServingStudy run is a one-server run of the fleet engine
+/// (fleet.cpp; see docs/ARCHITECTURE.md "Serving hot path"): the same
+/// slab-backed request lifecycle with zero heap allocations per request
+/// in steady state, seeded with this study's own stream salts. Arrival,
+/// uplink and downlink streams are independent; uplink draws happen in
+/// arrival order, downlink draws in completion order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "edgeai/accelerator.hpp"
 #include "edgeai/energy.hpp"
@@ -29,10 +27,10 @@
 
 namespace sixg::edgeai {
 
-/// Trace-style modulation of the Poisson arrival process: a diurnal
-/// curve plus periodic flash-crowd bursts, layered on chained-arrival
-/// generation by scaling each interarrival draw with the instantaneous
-/// rate multiplier. Inactive by default (multiplier identically 1), in
+/// Trace-style modulation of the Poisson arrival process (a
+/// FleetStudy::Config knob): a diurnal curve plus periodic flash-crowd
+/// bursts, layered on chained-arrival generation by scaling each
+/// interarrival draw with the instantaneous rate multiplier. Inactive by default (multiplier identically 1), in
 /// which case the draw passes through untouched and the run stays
 /// byte-identical to a build without the feature.
 ///
@@ -62,11 +60,6 @@ struct ArrivalShape {
 /// Runs one inference-serving workload on one simulator timeline.
 class ServingStudy {
  public:
-  /// Legacy alias: opaque callables still convert into a NetLeg (the
-  /// scalar-only kFn kind), so existing lambda-based configs compile
-  /// unchanged.
-  using DelaySampler = NetLeg::Fn;
-
   struct Config {
     ModelProfile model = ModelZoo::at("det-base");
     AcceleratorProfile accelerator = AcceleratorProfile::edge_gpu();
@@ -91,30 +84,11 @@ class ServingStudy {
     /// million-request runs: the report then streams into the histogram
     /// and the capped reservoir, O(bins + cap) memory.
     bool retain_samples = true;
-    /// Generate each arrival from the previous arrival's event instead
-    /// of prescheduling all of them: O(1) pending arrivals instead of
-    /// O(requests), the million-request mode. Off by default because the
-    /// kernel seq numbering differs from the legacy prescheduled order —
-    /// the RNG streams and event *times* are identical, so results only
-    /// diverge if an arrival lands on the exact same nanosecond as an
-    /// in-flight serving event (never observed; asserted equal across
-    /// seeds in tests).
-    bool chained_arrivals = false;
-    /// Trace-style arrival modulation (diurnal + flash crowds). Requires
-    /// chained_arrivals when active: the rate multiplier is evaluated at
-    /// the generating event's sim time, which prescheduling does not
-    /// have. Inactive by default — the arrival stream is then untouched.
-    ArrivalShape shape;
-    /// Streaming end-to-end histogram shape, [0, hist_hi_ms) in ms.
-    double hist_hi_ms = 250.0;
-    std::size_t hist_bins = 500;
-    /// Reservoir cap for e2e quantiles: exact below, sampled above.
-    std::size_t quantile_cap = stats::ReservoirQuantile::kDefaultCap;
   };
 
   struct Report {
     stats::Summary e2e_ms;      ///< device-to-device, completed requests
-    /// End-to-end quantiles: exact order statistics up to the configured
+    /// End-to-end quantiles: exact order statistics up to the reservoir
     /// cap, reservoir-sampled beyond it (own RNG stream, seed-derived).
     stats::ReservoirQuantile e2e_q;
     stats::Summary network_ms;  ///< uplink + downlink + airtime share
@@ -122,7 +96,8 @@ class ServingStudy {
     stats::Summary service_ms;  ///< batch execution share
     stats::Summary batch_size;  ///< batch each completed request rode in
 
-    /// Streaming end-to-end distribution (ms); engaged by run().
+    /// Streaming end-to-end distribution: 500 bins over [0, 250) ms;
+    /// engaged by run().
     std::optional<stats::Histogram> e2e_hist;
 
     std::uint64_t completed = 0;
@@ -140,7 +115,7 @@ class ServingStudy {
     /// samples this is exact: one binary search over the finalize()d
     /// sorted snapshot. Streamed reports answer from the histogram CDF
     /// (linear interpolation inside the containing bin; budgets beyond
-    /// `hist_hi_ms` clamp to the range end — a lower bound, since
+    /// the histogram range clamp to the range end — a lower bound, since
     /// overflow samples are only known to exceed the range). Pure
     /// read: safe to call concurrently.
     [[nodiscard]] double within(Duration budget) const;

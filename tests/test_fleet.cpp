@@ -12,7 +12,7 @@
 namespace sixg::edgeai {
 namespace {
 
-FleetStudy::DelaySampler synthetic_hop(double shift_s, double mean_s) {
+NetLeg::Fn synthetic_hop(double shift_s, double mean_s) {
   const stats::ShiftedExponential hop{shift_s, mean_s};
   return [hop](Rng& rng) { return Duration::from_seconds_f(hop.sample(rng)); };
 }

@@ -200,7 +200,7 @@ TEST(ShardedSimulator, ShardSeedsAreStableAndAnchorShardZero) {
 
 // -------------------------------------------------------------- fleet
 
-edgeai::FleetStudy::DelaySampler synthetic_hop(double shift_s, double mean_s) {
+edgeai::NetLeg::Fn synthetic_hop(double shift_s, double mean_s) {
   const stats::ShiftedExponential hop{shift_s, mean_s};
   return [hop](Rng& rng) { return Duration::from_seconds_f(hop.sample(rng)); };
 }
