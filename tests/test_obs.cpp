@@ -279,6 +279,48 @@ TEST_F(ObsTest, MetricsJsonParsesWithExpectedSchema) {
       det.object().at("scenarios").array()[0].object().count("workers"), 0u);
 }
 
+/// Counter `name` of the single scenario in the runtime's metrics
+/// document.
+double scenario_counter(obs::Runtime& rt, const char* name) {
+  const JsonValue root = JsonParser{rt.metrics_json(false)}.parse();
+  const auto& scenarios = root.object().at("scenarios").array();
+  EXPECT_EQ(scenarios.size(), 1u);
+  return scenarios[0].object().at("counters").object().at(name).number();
+}
+
+TEST_F(ObsTest, FaultEventsCounterMatchesReport) {
+  if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
+  auto& rt = obs::Runtime::instance();
+  obs::Config metrics;
+  metrics.metrics = true;
+  const auto with_faults = [](edgeai::FleetStudy::Config config) {
+    config.faults.server_crash_rate_per_s = 2.0;
+    config.faults.server_mttr = Duration::millis(50);
+    config.faults.straggler_rate_per_s = 2.0;
+    return config;
+  };
+
+  rt.configure(metrics);
+  rt.begin_scenario("serial");
+  const auto serial = edgeai::FleetStudy::run(with_faults(pod_config(4)));
+  rt.end_scenario();
+  EXPECT_GT(serial.fault_events, 0u);
+  EXPECT_EQ(scenario_counter(rt, "fault.events"), double(serial.fault_events));
+
+  for (const unsigned workers : {1u, 4u}) {
+    auto config = city_config(4, workers);
+    config.shard = with_faults(config.shard);
+    rt.configure(metrics);
+    rt.begin_scenario("sharded");
+    const auto sharded = edgeai::ShardedFleetStudy::run(config);
+    rt.end_scenario();
+    EXPECT_GT(sharded.fault_events, 0u) << "workers " << workers;
+    EXPECT_EQ(scenario_counter(rt, "fault.events"),
+              double(sharded.fault_events))
+        << "workers " << workers;
+  }
+}
+
 TEST_F(ObsTest, TraceJsonParsesAsChromeTraceEvents) {
   if (!obs::kProbesCompiled) GTEST_SKIP() << "probes compiled out";
   auto& rt = obs::Runtime::instance();
