@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
     std::fputs("]\n", stdout);
   } else {
     // Blank line between scenarios only, so single-scenario output is
-    // byte-identical to the standalone bench shim's.
+    // exactly core::render's bytes.
     bool first = true;
     for (const Scenario* s : selected) {
       if (!first) std::fputs("\n", stdout);

@@ -42,8 +42,8 @@ struct RunContext {
 
 /// Structured output of one scenario run: titled tables, paper-vs-measured
 /// anchor lines and free-form notes, kept in emission order so the render
-/// reads like the original bench narrative. The CLI and the bench shims
-/// render this; tests compare it for determinism.
+/// reads like the original bench narrative. The CLI and perfbench render
+/// this; tests compare it for determinism.
 class ScenarioResult {
  public:
   struct Note {
@@ -116,7 +116,7 @@ class ScenarioRegistry {
 
   [[nodiscard]] std::size_t size() const { return scenarios_.size(); }
 
-  /// The process-wide registry the CLI and bench shims use.
+  /// The process-wide registry the CLI uses.
   static ScenarioRegistry& global();
 
  private:
