@@ -74,8 +74,8 @@ struct StreamSalts {
   std::uint64_t reservoir;
 };
 constexpr StreamSalts kFleetSalts{0xf1ee, 0xf0b1, 0xfd01, 0xf95e};
-/// ServingStudy runs as a one-server fleet on its own salts, which keeps
-/// every stream it draws, and so its scenarios' bytes, as they were.
+/// ServingStudy's streams: its scenarios' pinned render digests
+/// (tests/test_registry.cpp) depend on these salts.
 constexpr StreamSalts kServingSalts{0xa221, 0x0b11, 0xd011, 0x9e5e};
 
 /// One fleet engine: the mutable state of one serving timeline — the
@@ -1328,8 +1328,7 @@ void publish_fleet_distribution(const FleetStudy::Report& report,
 }
 
 /// One serial run on an owned timeline: FleetStudy::run, and
-/// ServingStudy::run as a one-server fleet. `samples`, when set,
-/// collects every delivered request's e2e latency in completion order.
+/// ServingStudy::run as a one-server fleet.
 FleetStudy::Report run_serial(const FleetStudy::Config& config,
                               const StreamSalts& salts,
                               std::vector<double>* samples) {

@@ -30,9 +30,10 @@ namespace sixg::edgeai {
 /// Trace-style modulation of the Poisson arrival process (a
 /// FleetStudy::Config knob): a diurnal curve plus periodic flash-crowd
 /// bursts, layered on chained-arrival generation by scaling each
-/// interarrival draw with the instantaneous rate multiplier. Inactive by default (multiplier identically 1), in
-/// which case the draw passes through untouched and the run stays
-/// byte-identical to a build without the feature.
+/// interarrival draw with the instantaneous rate multiplier. Inactive by
+/// default (multiplier identically 1), in which case the draw passes
+/// through untouched and the run stays byte-identical to a build without
+/// the feature.
 ///
 /// The diurnal curve is a piecewise-linear triangle wave — trough (1 -
 /// amplitude) at phase 0, peak (1 + amplitude) at half period — on
