@@ -193,7 +193,10 @@ TEST(PaperScenarios, ServingScenarioRenderDigestsArePinned) {
   // The two ServingStudy scenarios draw their network legs through the
   // vectorized NetLeg block path, which the engine equivalence tests
   // (opaque scalar hops) do not cover. Any drift in the serving
-  // lifecycle, stream salts or report shape changes these bytes.
+  // lifecycle, stream salts or report shape changes these bytes. The
+  // rest of the paper suite is pinned alongside, so an optimisation of
+  // any model it uses (e.g. the UPF rule table behind ablation-cpf and
+  // smartnic-upf) must keep every byte.
   struct Pin {
     const char* name;
     std::uint64_t seed;
@@ -204,6 +207,34 @@ TEST(PaperScenarios, ServingScenarioRenderDigestsArePinned) {
       {"batching-ablation", 1, 0xa1fb2abe8d63cb78ULL},
       {"edge-inference-latency", 2, 0x43481a7aad247faeULL},
       {"batching-ablation", 2, 0x0b3b9c23d978ae49ULL},
+      // The rest of the 25 non-fleet scenarios at seed 1, as in
+      // perfbench/reference/seed1.digests.
+      {"ablation-cpf", 1, 0x0169e87f57f698c9ULL},
+      {"ablation-energy", 1, 0xa6ef013805ed4678ULL},
+      {"ablation-peering", 1, 0x35d3de2978a289f6ULL},
+      {"ablation-slicing", 1, 0xec783d66ee6c6eddULL},
+      {"ablation-upf", 1, 0x2e1208b79024e986ULL},
+      {"ar-game", 1, 0x8427b5556bbf7584ULL},
+      {"atlas-design", 1, 0xa8982734d9efd871ULL},
+      {"energy-inference", 1, 0xb819c87a106575beULL},
+      {"federated-edge", 1, 0xf961b6571527ac36ULL},
+      {"fig1", 1, 0x76bdbf095ce86544ULL},
+      {"fig2", 1, 0x9adcb03f9598e112ULL},
+      {"fig2-6g", 1, 0x5460ebc3290ef312ULL},
+      {"fig3", 1, 0x0de3ede8eccfc9ffULL},
+      {"fig4", 1, 0xe06d05a963534033ULL},
+      {"gap-analysis", 1, 0x8afaa7247b9543e6ULL},
+      {"latency-decomposition", 1, 0xa2d4dda5e7bffb4cULL},
+      {"link-failure-sweep", 1, 0x531b2f5ce18c69b5ULL},
+      {"offload-policy", 1, 0xffaa62270ef3f1b4ULL},
+      {"phy-latency", 1, 0xe7021abfe4355e51ULL},
+      {"requirements", 1, 0x85c27b81210d7fbdULL},
+      {"smartnic-upf", 1, 0xb585ebed775826f8ULL},
+      {"table1", 1, 0x12d0aa63a867d510ULL},
+      {"upf-autoscale", 1, 0x6091ccce4798c7d6ULL},
+      // The RuleTable users at a second seed.
+      {"ablation-cpf", 2, 0xe3f63efeb8913abbULL},
+      {"smartnic-upf", 2, 0xf19a01ec640b92f2ULL},
   };
   ScenarioRegistry registry;
   register_paper_scenarios(registry);
