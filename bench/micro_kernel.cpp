@@ -100,7 +100,7 @@ void BM_RuleLookupLinear(benchmark::State& state) {
     benchmark::DoNotOptimize(table.lookup(1000 + rules - 1));
   }
 }
-BENCHMARK(BM_RuleLookupLinear)->Arg(64)->Arg(1024);
+BENCHMARK(BM_RuleLookupLinear)->Arg(64)->Arg(1024)->Arg(2048);
 
 void BM_RuleLookupContextAware(benchmark::State& state) {
   core5g::RuleTable table{core5g::RuleTable::Mode::kContextAware};
@@ -112,7 +112,7 @@ void BM_RuleLookupContextAware(benchmark::State& state) {
     benchmark::DoNotOptimize(table.lookup(1000 + rules - 1));
   }
 }
-BENCHMARK(BM_RuleLookupContextAware)->Arg(64)->Arg(1024);
+BENCHMARK(BM_RuleLookupContextAware)->Arg(64)->Arg(1024)->Arg(2048);
 
 void BM_LognormalSample(benchmark::State& state) {
   const stats::Lognormal dist = stats::Lognormal::from_median(10.0, 0.4);

@@ -590,15 +590,15 @@ ScenarioResult ablation_cpf(const RunContext& ctx) {
   {
     oran::QosXApp::WorkloadParams params;
     params.seed = ctx.seed_for(0x90a5);
-    r.add_table(oran::QosXApp::comparison(params),
-                strf("Context-aware PDR/QER handling (%u rules, %u active "
-                     "flows, %u flows/UE):",
-                     params.total_rules, params.active_flows,
-                     params.flows_per_ue));
     const auto linear =
         oran::QosXApp::evaluate(core5g::RuleTable::Mode::kLinearScan, params);
     const auto context = oran::QosXApp::evaluate(
         core5g::RuleTable::Mode::kContextAware, params);
+    r.add_table(oran::QosXApp::comparison(linear, context),
+                strf("Context-aware PDR/QER handling (%u rules, %u active "
+                     "flows, %u flows/UE):",
+                     params.total_rules, params.active_flows,
+                     params.flows_per_ue));
     r.add_anchor("lookup latency reduction",
                  linear.lookup_ns.mean() / context.lookup_ns.mean(),
                  "reduced lookup latency [32]");

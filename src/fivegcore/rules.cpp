@@ -7,18 +7,23 @@
 
 namespace sixg::core5g {
 
+namespace {
+/// The table's order: precedence, then rule id.
+bool precedes(const PdrRule& a, const PdrRule& b) {
+  if (a.precedence != b.precedence) return a.precedence < b.precedence;
+  return a.id < b.id;
+}
+}  // namespace
+
 RuleTable::RuleTable(Mode mode, std::uint32_t hot_capacity, CostModel costs)
     : mode_(mode), hot_capacity_(hot_capacity), costs_(costs) {
   SIXG_ASSERT(hot_capacity_ > 0, "hot cache needs capacity");
 }
 
 Duration RuleTable::add_rule(const PdrRule& rule) {
-  const auto pos = std::lower_bound(
-      rules_.begin(), rules_.end(), rule, [](const PdrRule& a, const PdrRule& b) {
-        if (a.precedence != b.precedence) return a.precedence < b.precedence;
-        return a.id < b.id;
-      });
-  rules_.insert(pos, rule);
+  rules_.insert(std::lower_bound(rules_.begin(), rules_.end(), rule, precedes),
+                rule);
+  index_stale_ = true;
   return costs_.update_base +
          costs_.per_rule_update * std::int64_t(rules_.size());
 }
@@ -29,9 +34,23 @@ std::optional<Duration> RuleTable::remove_rule(std::uint32_t id) {
   if (it == rules_.end()) return std::nullopt;
   const std::uint64_t key = it->flow_key;
   rules_.erase(it);
+  index_stale_ = true;
   hot_.erase(std::remove(hot_.begin(), hot_.end(), key), hot_.end());
   return costs_.update_base +
          costs_.per_rule_update * std::int64_t(rules_.size());
+}
+
+std::optional<std::size_t> RuleTable::position(std::uint64_t flow_key) const {
+  if (index_stale_) {
+    index_.clear();
+    index_.reserve(rules_.size());
+    for (std::size_t i = 0; i < rules_.size(); ++i)
+      index_.try_emplace(rules_[i].flow_key, std::uint32_t(i));
+    index_stale_ = false;
+  }
+  const auto it = index_.find(flow_key);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::optional<std::size_t> RuleTable::hot_position(
@@ -49,32 +68,21 @@ void RuleTable::touch_hot(std::uint64_t flow_key) {
 
 LookupOutcome RuleTable::lookup(std::uint64_t flow_key) {
   LookupOutcome out;
+  const auto pos = position(flow_key);
+  if (pos) ++rules_[*pos].hits;
 
-  if (mode_ == Mode::kContextAware) {
-    if (hot_position(flow_key).has_value()) {
-      // Hot cache hit: flat cost regardless of table size or position.
-      touch_hot(flow_key);
-      for (PdrRule& r : rules_) {
-        if (r.flow_key == flow_key) {
-          ++r.hits;
-          break;
-        }
-      }
-      out.matched = true;
-      out.scanned = 1;
-      out.latency = costs_.hot_hit;
-      return out;
-    }
+  if (mode_ == Mode::kContextAware && hot_position(flow_key)) {
+    // Hot cache hit: flat cost regardless of table size or position.
+    touch_hot(flow_key);
+    out.matched = true;
+    out.scanned = 1;
+    out.latency = costs_.hot_hit;
+    return out;
   }
 
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    ++out.scanned;
-    if (rules_[i].flow_key == flow_key) {
-      ++rules_[i].hits;
-      out.matched = true;
-      break;
-    }
-  }
+  // A precedence-order scan would stop at the match or run off the end.
+  out.matched = pos.has_value();
+  out.scanned = std::uint32_t(pos ? *pos + 1 : rules_.size());
   out.latency =
       costs_.lookup_base + costs_.per_rule * std::int64_t(out.scanned);
   if (mode_ == Mode::kContextAware && out.matched) {
@@ -90,17 +98,24 @@ std::optional<Duration> RuleTable::update_rule(std::uint32_t id,
   const auto it = std::find_if(rules_.begin(), rules_.end(),
                                [id](const PdrRule& r) { return r.id == id; });
   if (it == rules_.end()) return std::nullopt;
-
-  if (mode_ == Mode::kContextAware && hot_position(it->flow_key)) {
-    // Prioritised flow: QER change applies in the hot cache, no reorg.
-    it->precedence = new_precedence;
-    return costs_.hot_update;
-  }
+  // Prioritised flow: the QER change applies in the hot cache, no reorg.
+  const bool hot =
+      mode_ == Mode::kContextAware && hot_position(it->flow_key).has_value();
 
   PdrRule moved = *it;
   moved.precedence = new_precedence;
-  rules_.erase(it);
-  (void)add_rule(moved);
+  // The slot add_rule would pick once the rule is taken out is its
+  // current one iff its neighbours still bracket it.
+  const bool same_slot =
+      (it == rules_.begin() || precedes(*(it - 1), moved)) &&
+      (it + 1 == rules_.end() || !precedes(*(it + 1), moved));
+  if (same_slot) {
+    it->precedence = new_precedence;
+  } else {
+    rules_.erase(it);
+    (void)add_rule(moved);
+  }
+  if (hot) return costs_.hot_update;
   return costs_.update_base +
          costs_.per_rule_update * std::int64_t(rules_.size());
 }
@@ -113,12 +128,7 @@ void RuleTable::prioritise_flow(std::uint64_t flow_key) {
 std::size_t RuleTable::prioritised_ue_count() const {
   std::unordered_set<std::uint32_t> ues;
   for (std::uint64_t key : hot_) {
-    for (const PdrRule& r : rules_) {
-      if (r.flow_key == key) {
-        ues.insert(r.ue_id);
-        break;
-      }
-    }
+    if (const auto pos = position(key)) ues.insert(rules_[*pos].ue_id);
   }
   return ues.size();
 }

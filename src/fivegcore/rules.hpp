@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,8 +24,12 @@ struct PdrRule {
 /// Outcome of one datapath lookup.
 struct LookupOutcome {
   bool matched = false;
-  std::uint32_t scanned = 0;  ///< rules inspected before the match
-  Duration latency;           ///< modelled lookup time
+  /// Modelled scan length: the matched rule's 1-based position in
+  /// precedence order (the table size on a miss, 1 on a hot-cache hit).
+  /// The table does not perform that scan; it reads the position from
+  /// its index.
+  std::uint32_t scanned = 0;
+  Duration latency;  ///< modelled lookup time, derived from `scanned`
 };
 
 /// UPF rule table with two organisations:
@@ -36,6 +41,15 @@ struct LookupOutcome {
 ///    consulted first, so lookup and update latencies stay flat for
 ///    latency-sensitive flows, and several flows per UE can be
 ///    prioritised simultaneously.
+///
+/// Both modes *model* a scan in precedence order: the linear cost is
+/// `lookup_base + per_rule * position`. The table itself answers a
+/// lookup in O(1) through a position index (flow key -> index of the
+/// key's first rule in precedence order). The index is rebuilt lazily,
+/// on the first lookup after `rules_` changes structurally (a rule is
+/// added, removed or moved to another slot). An `update_rule` that
+/// leaves the rule in its slot keeps the index valid. The const queries
+/// may rebuild the index too, so a table belongs to one thread.
 class RuleTable {
  public:
   enum class Mode : std::uint8_t { kLinearScan, kContextAware };
@@ -57,7 +71,8 @@ class RuleTable {
   [[nodiscard]] std::size_t size() const { return rules_.size(); }
   [[nodiscard]] std::uint32_t hot_capacity() const { return hot_capacity_; }
 
-  /// Install a rule (precedence-ordered insertion). Returns install cost.
+  /// Install a rule (precedence-ordered insertion, ahead of any rule
+  /// with equal precedence and id). Returns install cost.
   Duration add_rule(const PdrRule& rule);
 
   /// Remove by rule id; returns cost, or nullopt if absent.
@@ -66,9 +81,10 @@ class RuleTable {
   /// Look up the rule for `flow_key` and account the hit.
   [[nodiscard]] LookupOutcome lookup(std::uint64_t flow_key);
 
-  /// Modify the QER of an existing rule (e.g. re-prioritise a flow).
-  /// In linear mode this costs a table reorganisation; in context-aware
-  /// mode a hot-cache entry update is O(1).
+  /// Modify the QER of an existing rule (e.g. re-prioritise a flow) and
+  /// re-seat it in precedence order. The modelled cost is a table
+  /// reorganisation, except for a context-aware hot-cache entry, whose
+  /// update is O(1).
   [[nodiscard]] std::optional<Duration> update_rule(std::uint32_t id,
                                                     int new_precedence);
 
@@ -83,12 +99,18 @@ class RuleTable {
   [[nodiscard]] std::optional<std::size_t> hot_position(
       std::uint64_t flow_key) const;
   void touch_hot(std::uint64_t flow_key);
+  /// Index in `rules_` of `flow_key`'s first rule, or nullopt.
+  [[nodiscard]] std::optional<std::size_t> position(
+      std::uint64_t flow_key) const;
 
   Mode mode_;
   std::uint32_t hot_capacity_;
   CostModel costs_;
   std::vector<PdrRule> rules_;          ///< sorted by (precedence, id)
   std::vector<std::uint64_t> hot_;      ///< MRU-ordered flow keys
+  /// Position index over `rules_`; rebuilt by `position` when stale.
+  mutable std::unordered_map<std::uint64_t, std::uint32_t> index_;
+  mutable bool index_stale_ = false;
 };
 
 }  // namespace sixg::core5g

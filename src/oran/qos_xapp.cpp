@@ -83,12 +83,8 @@ QosXApp::Evaluation QosXApp::evaluate(core5g::RuleTable::Mode mode,
   return out;
 }
 
-TextTable QosXApp::comparison(const WorkloadParams& params) {
-  const Evaluation linear =
-      evaluate(core5g::RuleTable::Mode::kLinearScan, params);
-  const Evaluation context =
-      evaluate(core5g::RuleTable::Mode::kContextAware, params);
-
+TextTable QosXApp::comparison(const Evaluation& linear,
+                              const Evaluation& context) {
   TextTable t{{"Table mode", "Mean lookup (us)", "Max lookup (us)",
                "Mean update (us)", "Prioritised UEs"}};
   t.set_align(0, TextTable::Align::kLeft);

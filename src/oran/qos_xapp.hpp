@@ -40,8 +40,10 @@ class QosXApp {
   [[nodiscard]] static Evaluation evaluate(core5g::RuleTable::Mode mode,
                                            const WorkloadParams& params);
 
-  /// Comparison table: linear scan vs context-aware.
-  [[nodiscard]] static TextTable comparison(const WorkloadParams& params);
+  /// Comparison table of two evaluations of one workload: linear scan
+  /// vs context-aware.
+  [[nodiscard]] static TextTable comparison(const Evaluation& linear,
+                                            const Evaluation& context);
 };
 
 }  // namespace sixg::oran

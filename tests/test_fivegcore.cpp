@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
+#include "common/rng.hpp"
 #include "fivegcore/placement.hpp"
 #include "fivegcore/rules.hpp"
 #include "fivegcore/selector.hpp"
@@ -129,6 +133,223 @@ TEST(RuleTable, HitsAccounting) {
   (void)table.lookup(200);  // miss
   // Hits are internal, but lookups must stay consistent.
   EXPECT_TRUE(table.lookup(100).matched);
+}
+
+TEST(RuleTable, ContextAwareUpdateKeepsPrecedenceOrder) {
+  // A prioritised rule moved to a later precedence must leave the table
+  // in precedence order: both modes then see the same scan positions.
+  for (const auto mode :
+       {RuleTable::Mode::kLinearScan, RuleTable::Mode::kContextAware}) {
+    RuleTable table{mode, 8};
+    for (std::uint32_t i = 0; i < 10; ++i)
+      (void)table.add_rule(PdrRule{i, 100 + i, 1, int(i), 0});
+    table.prioritise_flow(102);
+    const auto cost = table.update_rule(2, 50);
+    ASSERT_TRUE(cost.has_value());
+    if (mode == RuleTable::Mode::kContextAware) {
+      EXPECT_EQ(cost->ns(), RuleTable::CostModel{}.hot_update.ns());
+    }
+    (void)table.add_rule(PdrRule{20, 900, 1, 20, 0});
+    EXPECT_EQ(table.lookup(900).scanned, 10u);
+    EXPECT_EQ(table.lookup(109).scanned, 9u);
+  }
+}
+
+/// The table's algorithm without the position index: a (precedence,
+/// id)-sorted vector, a real scan in precedence order and an MRU list of
+/// hot flow keys. RuleTable must agree with it on every modelled number.
+class ReferenceRuleTable {
+ public:
+  ReferenceRuleTable(RuleTable::Mode mode, std::uint32_t hot_capacity)
+      : mode_(mode), hot_capacity_(hot_capacity) {}
+
+  [[nodiscard]] const std::vector<PdrRule>& rules() const { return rules_; }
+
+  Duration add_rule(const PdrRule& rule) {
+    const auto pos = std::lower_bound(
+        rules_.begin(), rules_.end(), rule,
+        [](const PdrRule& a, const PdrRule& b) {
+          if (a.precedence != b.precedence) return a.precedence < b.precedence;
+          return a.id < b.id;
+        });
+    rules_.insert(pos, rule);
+    return reorg_cost();
+  }
+
+  std::optional<Duration> remove_rule(std::uint32_t id) {
+    const auto it = find_id(id);
+    if (it == rules_.end()) return std::nullopt;
+    const std::uint64_t key = it->flow_key;
+    rules_.erase(it);
+    hot_.erase(std::remove(hot_.begin(), hot_.end(), key), hot_.end());
+    return reorg_cost();
+  }
+
+  LookupOutcome lookup(std::uint64_t flow_key) {
+    LookupOutcome out;
+    if (mode_ == RuleTable::Mode::kContextAware && is_hot(flow_key)) {
+      touch_hot(flow_key);
+      out.matched = true;
+      out.scanned = 1;
+      out.latency = costs_.hot_hit;
+      return out;
+    }
+    for (const PdrRule& r : rules_) {
+      ++out.scanned;
+      if (r.flow_key == flow_key) {
+        out.matched = true;
+        break;
+      }
+    }
+    out.latency =
+        costs_.lookup_base + costs_.per_rule * std::int64_t(out.scanned);
+    if (mode_ == RuleTable::Mode::kContextAware && out.matched) {
+      touch_hot(flow_key);
+      out.latency += costs_.hot_update;
+    }
+    return out;
+  }
+
+  std::optional<Duration> update_rule(std::uint32_t id, int new_precedence) {
+    const auto it = find_id(id);
+    if (it == rules_.end()) return std::nullopt;
+    const bool hot =
+        mode_ == RuleTable::Mode::kContextAware && is_hot(it->flow_key);
+    PdrRule moved = *it;
+    moved.precedence = new_precedence;
+    rules_.erase(it);
+    (void)add_rule(moved);
+    if (hot) return costs_.hot_update;
+    return reorg_cost();
+  }
+
+  void prioritise_flow(std::uint64_t flow_key) {
+    if (mode_ == RuleTable::Mode::kContextAware) touch_hot(flow_key);
+  }
+
+  [[nodiscard]] std::size_t prioritised_ue_count() const {
+    std::unordered_set<std::uint32_t> ues;
+    for (const std::uint64_t key : hot_) {
+      for (const PdrRule& r : rules_) {
+        if (r.flow_key == key) {
+          ues.insert(r.ue_id);
+          break;
+        }
+      }
+    }
+    return ues.size();
+  }
+
+ private:
+  std::vector<PdrRule>::iterator find_id(std::uint32_t id) {
+    return std::find_if(rules_.begin(), rules_.end(),
+                        [id](const PdrRule& r) { return r.id == id; });
+  }
+  [[nodiscard]] bool is_hot(std::uint64_t flow_key) const {
+    return std::find(hot_.begin(), hot_.end(), flow_key) != hot_.end();
+  }
+  void touch_hot(std::uint64_t flow_key) {
+    hot_.erase(std::remove(hot_.begin(), hot_.end(), flow_key), hot_.end());
+    hot_.insert(hot_.begin(), flow_key);
+    if (hot_.size() > hot_capacity_) hot_.resize(hot_capacity_);
+  }
+  [[nodiscard]] Duration reorg_cost() const {
+    return costs_.update_base +
+           costs_.per_rule_update * std::int64_t(rules_.size());
+  }
+
+  RuleTable::Mode mode_;
+  std::uint32_t hot_capacity_;
+  RuleTable::CostModel costs_{};
+  std::vector<PdrRule> rules_;
+  std::vector<std::uint64_t> hot_;
+};
+
+std::optional<std::int64_t> cost_ns(const std::optional<Duration>& d) {
+  if (!d) return std::nullopt;
+  return d->ns();
+}
+
+TEST(RuleTable, MatchesReferenceModelOnRandomOperations) {
+  // Small id, key and precedence ranges force duplicate flow keys, equal
+  // precedences, absent ids and keys, and hot-cache evictions.
+  constexpr std::uint32_t kIds = 40;
+  constexpr std::uint64_t kKeys = 24;
+  constexpr std::uint64_t kProbeKeys = 28;  // 4 keys never installed
+  constexpr int kPrecedences = 16;
+  std::size_t same_slot_updates = 0;
+  std::size_t moving_updates = 0;
+  std::size_t hot_hits = 0;
+  std::size_t misses = 0;
+  for (const auto mode :
+       {RuleTable::Mode::kLinearScan, RuleTable::Mode::kContextAware}) {
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      Rng rng{seed};
+      const auto hot_capacity = std::uint32_t(1 + rng.uniform_int(6));
+      RuleTable table{mode, hot_capacity};
+      ReferenceRuleTable ref{mode, hot_capacity};
+      for (int step = 0; step < 400; ++step) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
+                                          << step << " mode " << int(mode));
+        const double op = rng.uniform();
+        if (op < 0.25) {
+          const PdrRule rule{std::uint32_t(rng.uniform_int(kIds)),
+                             1000 + rng.uniform_int(kKeys),
+                             std::uint32_t(rng.uniform_int(8)),
+                             int(rng.uniform_int(kPrecedences)), 0};
+          ASSERT_EQ(table.add_rule(rule).ns(), ref.add_rule(rule).ns());
+        } else if (op < 0.35) {
+          const auto id = std::uint32_t(rng.uniform_int(kIds));
+          ASSERT_EQ(cost_ns(table.remove_rule(id)),
+                    cost_ns(ref.remove_rule(id)));
+        } else if (op < 0.50) {
+          const auto id = std::uint32_t(rng.uniform_int(kIds));
+          const auto& rules = ref.rules();
+          const auto it =
+              std::find_if(rules.begin(), rules.end(),
+                           [id](const PdrRule& r) { return r.id == id; });
+          // Half the re-tunes keep the precedence, as QosXApp's do.
+          const int precedence = it != rules.end() && rng.chance(0.5)
+                                     ? it->precedence
+                                     : int(rng.uniform_int(kPrecedences));
+          const bool present = it != rules.end();
+          const auto before = it - rules.begin();
+          ASSERT_EQ(cost_ns(table.update_rule(id, precedence)),
+                    cost_ns(ref.update_rule(id, precedence)));
+          if (present) {
+            const auto after =
+                std::find_if(rules.begin(), rules.end(),
+                             [&](const PdrRule& r) {
+                               return r.id == id && r.precedence == precedence;
+                             }) -
+                rules.begin();
+            ++(before == after ? same_slot_updates : moving_updates);
+          }
+        } else if (op < 0.60) {
+          const std::uint64_t key = 1000 + rng.uniform_int(kProbeKeys);
+          table.prioritise_flow(key);
+          ref.prioritise_flow(key);
+        } else {
+          const std::uint64_t key = 1000 + rng.uniform_int(kProbeKeys);
+          const LookupOutcome got = table.lookup(key);
+          const LookupOutcome want = ref.lookup(key);
+          ASSERT_EQ(got.matched, want.matched);
+          ASSERT_EQ(got.scanned, want.scanned);
+          ASSERT_EQ(got.latency.ns(), want.latency.ns());
+          if (!want.matched) ++misses;
+          if (want.latency.ns() == RuleTable::CostModel{}.hot_hit.ns())
+            ++hot_hits;
+        }
+        ASSERT_EQ(table.size(), ref.rules().size());
+        ASSERT_EQ(table.prioritised_ue_count(), ref.prioritised_ue_count());
+      }
+    }
+  }
+  // The sequences exercised every path the index has to get right.
+  EXPECT_GT(same_slot_updates, 0u);
+  EXPECT_GT(moving_updates, 0u);
+  EXPECT_GT(hot_hits, 0u);
+  EXPECT_GT(misses, 0u);
 }
 
 // ---------------------------------------------------------------- Upf
