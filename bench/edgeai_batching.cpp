@@ -29,11 +29,11 @@ void BM_AcceleratorServerCycle(benchmark::State& state) {
          .batch_window = Duration::from_millis_f(1.0),
          .queue_capacity = kRequests}};
     std::uint64_t done = 0;
-    for (std::size_t i = 0; i < kRequests; ++i) {
-      sim.schedule_after(
-          Duration::micros(std::int64_t(i) * 400), [&server, &done, i] {
-            (void)server.submit(i, [&done](const auto&) { ++done; });
-          });
+    server.set_completion_sink(
+        [&done](std::uint32_t, std::uint64_t, const auto&) { ++done; });
+    for (std::uint32_t i = 0; i < kRequests; ++i) {
+      sim.schedule_after(Duration::micros(std::int64_t(i) * 400),
+                         [&server, i] { (void)server.submit(i); });
     }
     sim.run();
     benchmark::DoNotOptimize(done);

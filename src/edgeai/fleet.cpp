@@ -197,10 +197,10 @@ struct FleetEngine {
   /// Radio outage window: uplinks launched before this instant defer to
   /// it (the device cannot transmit). TimePoint{} = no outage.
   TimePoint radio_down_until;
-  /// Per-slot cancellable timers, sized lazily with the slab; empty
-  /// unless the corresponding knob is on. Completion cancels its
-  /// deadline in O(1); recycled slots are additionally guarded by the
-  /// slab epoch the timer captured.
+  /// Per-slot cancellable timers, grown with the slab in hardened runs
+  /// (empty otherwise), so every live slot indexes both. Completion
+  /// cancels its deadline in O(1); recycled slots are additionally
+  /// guarded by the slab epoch the timer captured.
   std::vector<netsim::Simulator::TimerHandle> deadline_timers;
   std::vector<netsim::Simulator::TimerHandle> hedge_timers;
 
@@ -348,6 +348,10 @@ struct FleetEngine {
       free_slots.pop_back();
       return slot;
     }
+    if (hardened) {
+      deadline_timers.emplace_back();
+      hedge_timers.emplace_back();
+    }
     return slab.grow();
   }
 
@@ -439,6 +443,11 @@ struct FleetEngine {
   void on_record(std::uint32_t slot, std::uint32_t server, std::uint32_t batch,
                  Duration net, Duration queue_wait, Duration service,
                  std::uint8_t hedge);
+  /// Fold one delivered result into the report — local (on_record) and
+  /// remote (on_remote_record) deliveries alike — and settle the slot.
+  void record(std::uint32_t slot, std::uint32_t batch, Duration net,
+              Duration queue_wait, Duration service, double compute_j,
+              bool networked, std::uint8_t hedge);
 
   // Hardened-mode handlers (faults and/or resilience configured).
   // [[gnu::cold]] keeps them out of the hot event loop's text: the
@@ -452,6 +461,11 @@ struct FleetEngine {
   /// drop, crash loss, unhealthy rejection, no dispatchable server,
   /// remote drop notice): retry while budget remains, else settle.
   [[gnu::cold]] void copy_died(std::uint32_t slot);
+  /// A copy of `slot` resolved after its request settled (the other copy
+  /// delivered, or the deadline expired): discard it — lazy cancellation
+  /// of the hedge loser — and drop its slot reference. False when the
+  /// request is still open.
+  [[gnu::cold]] bool discard_if_settled(std::uint32_t slot);
   /// Cancel the slot's timers, bump its epoch and recycle it.
   [[gnu::cold]] void release_hardened(std::uint32_t slot);
   [[gnu::cold]] void on_timeout(std::uint32_t slot, std::uint32_t epoch);
@@ -674,7 +688,6 @@ void FleetEngine::arrival_hardened() {
   const Duration deadline =
       classes_on ? class_deadline[cls] : res.deadline;
   if (!deadline.is_zero()) {
-    if (deadline_timers.size() <= slot) deadline_timers.resize(slot + 1);
     deadline_timers[slot] = sim.schedule_once(
         deadline, FleetTimeoutEvent{this, slot, slab.epoch[slot]});
   }
@@ -687,7 +700,6 @@ void FleetEngine::arrival_hardened() {
     return;
   }
   if (!res.hedge_delay.is_zero()) {
-    if (hedge_timers.size() <= slot) hedge_timers.resize(slot + 1);
     hedge_timers[slot] = sim.schedule_once(
         res.hedge_delay, FleetHedgeEvent{this, slot, slab.epoch[slot]});
   }
@@ -830,17 +842,33 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
                             std::uint32_t batch, Duration net,
                             Duration queue_wait, Duration service,
                             std::uint8_t hedge) {
-  if (hardened) [[unlikely]] {
-    const std::uint8_t settled =
-        slab.flags[slot] & (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag);
-    if (settled) {
-      // The race is over (the other copy delivered, or the deadline
-      // expired): this result is discarded — lazy cancellation of the
-      // hedge loser. Its slot reference resolves here.
-      if (--slab.pending[slot] == 0) release_hardened(slot);
-      return;
-    }
-  }
+  if (hardened && discard_if_settled(slot)) [[unlikely]]
+    return;
+  ServerState& from = servers[server];
+  from.queue_ms.add(queue_wait.ms());
+  record(slot, batch, net, queue_wait, service, from.compute_j_by_batch[batch],
+         from.networked, hedge);
+}
+
+void FleetEngine::on_remote_record(std::uint32_t slot, std::uint32_t batch,
+                                   std::int64_t net_ns, std::int64_t queue_ns,
+                                   std::int64_t service_ns, double compute_j) {
+  if (hardened && discard_if_settled(slot)) [[unlikely]]
+    return;
+  SIXG_ASSERT(hardened || slab.state[slot] == RequestSlab::State::kUplink,
+              "remote record for a slot that is not in flight");
+  // A remote request is always networked: radio energy on this device,
+  // compute amortised on the serving pod's accelerator. Remote copies are
+  // never hedged.
+  record(slot, batch, Duration::nanos(net_ns), Duration::nanos(queue_ns),
+         Duration::nanos(service_ns), compute_j, /*networked=*/true,
+         /*hedge=*/0);
+}
+
+void FleetEngine::record(std::uint32_t slot, std::uint32_t batch,
+                         Duration net, Duration queue_wait, Duration service,
+                         double compute_j, bool networked,
+                         std::uint8_t hedge) {
   const Duration e2e = sim.now() - slab.device_start[slot];
   const double e2e_ms = e2e.ms();
   report.e2e_ms.add(e2e_ms);
@@ -871,16 +899,14 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
     obs::probe_span(obs::TraceName::kRequest, slab.device_start[slot].ns(),
                     e2e.ns(), batch);
   }
-  ServerState& from = servers[server];
-  from.queue_ms.add(queue_wait.ms());
-  if (from.networked) {
+  if (networked) {
     energy_sum.uplink_j += uplink_j;
     energy_sum.downlink_j += downlink_j;
     energy_sum.wait_j += config.energy.radio.idle_watts *
                          std::max(0.0, (e2e - tx_rx_airtime).sec());
-    energy_sum.server_compute_j += from.compute_j_by_batch[batch];
+    energy_sum.server_compute_j += compute_j;
   } else {
-    energy_sum.device_compute_j += from.compute_j_by_batch[batch];
+    energy_sum.device_compute_j += compute_j;
   }
   if (sim.now() > makespan) makespan = sim.now();
   slab.state[slot] = RequestSlab::State::kDone;
@@ -892,67 +918,8 @@ void FleetEngine::on_record(std::uint32_t slot, std::uint32_t server,
   if (hedge) ++report.hedge_wins;
   // Completion cancels the deadline in O(1) — no stale timeout event
   // survives a delivered request (tests/test_faults.cpp pins this).
-  if (!deadline_timers.empty()) deadline_timers[slot].cancel();
-  if (!hedge_timers.empty()) hedge_timers[slot].cancel();
-  if (--slab.pending[slot] == 0) release_hardened(slot);
-}
-
-void FleetEngine::on_remote_record(std::uint32_t slot, std::uint32_t batch,
-                                   std::int64_t net_ns, std::int64_t queue_ns,
-                                   std::int64_t service_ns, double compute_j) {
-  if (hardened) [[unlikely]] {
-    const std::uint8_t settled =
-        slab.flags[slot] & (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag);
-    if (settled) {
-      if (--slab.pending[slot] == 0) release_hardened(slot);
-      return;
-    }
-  }
-  SIXG_ASSERT(hardened || slab.state[slot] == RequestSlab::State::kUplink,
-              "remote record for a slot that is not in flight");
-  const Duration queue_wait = Duration::nanos(queue_ns);
-  const Duration e2e = sim.now() - slab.device_start[slot];
-  const double e2e_ms = e2e.ms();
-  report.e2e_ms.add(e2e_ms);
-  report.e2e_q.add(e2e_ms);
-  report.e2e_hist->add(e2e_ms);
-  report.network_ms.add(Duration::nanos(net_ns).ms());
-  report.queue_ms.add(queue_wait.ms());
-  report.service_ms.add(Duration::nanos(service_ns).ms());
-  report.batch_size.add(double(batch));
-  SIXG_OBS_COUNT(obs::Metric::kFleetCompleted, 1);
-  const Duration slo = classes_on ? class_slo[slab.cls[slot]] : config.slo;
-  if (e2e <= slo) {
-    ++report.within_slo;
-  } else {
-    SIXG_OBS_COUNT(obs::Metric::kFleetSloMisses, 1);
-  }
-  if (classes_on) [[unlikely]] {
-    FleetStudy::Report::ClassStats& cs = report.classes[slab.cls[slot]];
-    ++cs.delivered;
-    cs.e2e_ms.add(e2e_ms);
-    if (e2e <= slo) ++cs.within_slo;
-  }
-  if (obs::kProbesCompiled && obs::trace_on() &&
-      (report.e2e_ms.count() & obs::kTraceRequestMask) == 0) {
-    obs::probe_span(obs::TraceName::kRequest, slab.device_start[slot].ns(),
-                    e2e.ns(), batch);
-  }
-  // A remote request is always networked: radio energy on this device,
-  // compute amortised on the serving pod's accelerator.
-  energy_sum.uplink_j += uplink_j;
-  energy_sum.downlink_j += downlink_j;
-  energy_sum.wait_j += config.energy.radio.idle_watts *
-                       std::max(0.0, (e2e - tx_rx_airtime).sec());
-  energy_sum.server_compute_j += compute_j;
-  if (sim.now() > makespan) makespan = sim.now();
-  slab.state[slot] = RequestSlab::State::kDone;
-  if (!hardened) {
-    release_slot(slot);
-    return;
-  }
-  slab.flags[slot] |= RequestSlab::kDelivered;
-  if (!deadline_timers.empty()) deadline_timers[slot].cancel();
+  deadline_timers[slot].cancel();
+  hedge_timers[slot].cancel();
   if (--slab.pending[slot] == 0) release_hardened(slot);
 }
 
@@ -1015,9 +982,17 @@ void FleetEngine::copy_died(std::uint32_t slot) {
   release_hardened(slot);
 }
 
+bool FleetEngine::discard_if_settled(std::uint32_t slot) {
+  if (!(slab.flags[slot] &
+        (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag)))
+    return false;
+  if (--slab.pending[slot] == 0) release_hardened(slot);
+  return true;
+}
+
 void FleetEngine::release_hardened(std::uint32_t slot) {
-  if (!deadline_timers.empty()) deadline_timers[slot].cancel();
-  if (!hedge_timers.empty()) hedge_timers[slot].cancel();
+  deadline_timers[slot].cancel();
+  hedge_timers[slot].cancel();
   // The epoch bump invalidates every timer event still carrying this
   // slot: a stale firing sees the mismatch and no-ops.
   ++slab.epoch[slot];
@@ -1038,7 +1013,7 @@ void FleetEngine::on_timeout(std::uint32_t slot, std::uint32_t epoch) {
     ++cs.failed;
   }
   SIXG_OBS_COUNT(obs::Metric::kFleetTimeouts, 1);
-  if (!hedge_timers.empty()) hedge_timers[slot].cancel();
+  hedge_timers[slot].cancel();
   // Copies still in flight drain through the discard paths and release
   // the slot when the last one resolves; pending stays untouched here.
 }
@@ -1056,12 +1031,8 @@ void FleetEngine::on_hedge(std::uint32_t slot, std::uint32_t epoch) {
 
 void FleetEngine::on_retry(std::uint32_t slot, std::uint32_t epoch) {
   if (slab.epoch[slot] != epoch) return;
-  if (slab.flags[slot] &
-      (RequestSlab::kDelivered | RequestSlab::kTimedOutFlag)) {
-    // Settled while we backed off: this resurrected copy dies unborn.
-    if (--slab.pending[slot] == 0) release_hardened(slot);
-    return;
-  }
+  // Settled while we backed off: this resurrected copy dies unborn.
+  if (discard_if_settled(slot)) return;
   launch_copy(slot, /*hedge=*/false);
 }
 
@@ -1327,6 +1298,21 @@ void publish_fleet_distribution(const FleetStudy::Report& report,
   obs::Runtime::instance().publish_distribution(std::move(dist));
 }
 
+/// Turn the run's summed energy and makespan into the report's
+/// per-request energy mean, throughput and goodput.
+void finish_report(FleetStudy::Report& report, EnergyBreakdown energy_sum,
+                   TimePoint makespan) {
+  if (report.completed > 0) {
+    energy_sum /= double(report.completed);
+    report.mean_energy = energy_sum;
+  }
+  const double makespan_sec = (makespan - TimePoint{}).sec();
+  if (makespan_sec > 0.0) {
+    report.throughput_per_s = double(report.completed) / makespan_sec;
+    report.goodput_per_s = double(report.within_slo) / makespan_sec;
+  }
+}
+
 /// One serial run on an owned timeline: FleetStudy::run, and
 /// ServingStudy::run as a one-server fleet.
 FleetStudy::Report run_serial(const FleetStudy::Config& config,
@@ -1345,16 +1331,8 @@ FleetStudy::Report run_serial(const FleetStudy::Config& config,
   if (engine.sampler) engine.sampler->publish();
   publish_fleet_distribution(report, config.seed);
   collect_servers(engine, report, "");
-  if (report.completed > 0) {
-    engine.energy_sum /= double(report.completed);
-    report.mean_energy = engine.energy_sum;
-  }
   report.fault_events = engine.injector.fired();
-  const double makespan_sec = (engine.makespan - TimePoint{}).sec();
-  if (makespan_sec > 0.0) {
-    report.throughput_per_s = double(report.completed) / makespan_sec;
-    report.goodput_per_s = double(report.within_slo) / makespan_sec;
-  }
+  finish_report(report, engine.energy_sum, engine.makespan);
   return report;
 }
 
@@ -1507,15 +1485,7 @@ ShardedFleetStudy::Report ShardedFleetStudy::run(const Config& config) {
     report.remote_requests += engines[k]->remote_sent;
     report.fault_events += engines[k]->injector.fired();
   }
-  if (report.completed > 0) {
-    energy_sum /= double(report.completed);
-    report.mean_energy = energy_sum;
-  }
-  const double makespan_sec = (makespan - TimePoint{}).sec();
-  if (makespan_sec > 0.0) {
-    report.throughput_per_s = double(report.completed) / makespan_sec;
-    report.goodput_per_s = double(report.within_slo) / makespan_sec;
-  }
+  finish_report(report, energy_sum, makespan);
   report.shards = config.shards;
   report.windows = kernel.windows();
   report.mailbox_messages = kernel.messages();

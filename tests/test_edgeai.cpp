@@ -88,21 +88,24 @@ struct ServerHarness {
                          const char* model = "det-base")
       : sim(1),
         server(sim, AcceleratorProfile::edge_gpu(), ModelZoo::at(model),
-               config) {}
+               config) {
+    server.set_completion_sink(
+        [this](std::uint32_t, std::uint64_t,
+               const AcceleratorServer::Completion& c) {
+          completions.push_back(c);
+        });
+  }
 
-  void submit_at(Duration when, std::uint64_t id) {
-    sim.schedule_at(TimePoint{} + when, [this, id] {
-      (void)server.submit(id, [this](const AcceleratorServer::Completion& c) {
-        completions.push_back(c);
-      });
-    });
+  void submit_at(Duration when, std::uint32_t id) {
+    sim.schedule_at(TimePoint{} + when,
+                    [this, id] { (void)server.submit(id); });
   }
 };
 
 TEST(AcceleratorServer, BatchNeverExceedsMax) {
   ServerHarness h{{.max_batch = 8, .batch_window = 2.0_ms,
                    .queue_capacity = 256}};
-  for (std::uint64_t i = 0; i < 30; ++i) h.submit_at(Duration{}, i);
+  for (std::uint32_t i = 0; i < 30; ++i) h.submit_at(Duration{}, i);
   h.sim.run();
 
   ASSERT_EQ(h.completions.size(), 30u);
@@ -127,7 +130,7 @@ TEST(AcceleratorServer, BatchNeverExceedsMax) {
 TEST(AcceleratorServer, FifoWithinAndAcrossBatches) {
   ServerHarness h{{.max_batch = 4, .batch_window = 1.0_ms,
                    .queue_capacity = 256}};
-  for (std::uint64_t i = 0; i < 21; ++i)
+  for (std::uint32_t i = 0; i < 21; ++i)
     h.submit_at(Duration::micros(std::int64_t(i) * 137), i);
   h.sim.run();
 
@@ -170,7 +173,7 @@ TEST(AcceleratorServer, FullBatchSkipsTheWindow) {
   // immediately, not after the (long) window.
   ServerHarness h{{.max_batch = 4, .batch_window = 50.0_ms,
                    .queue_capacity = 256}};
-  for (std::uint64_t i = 0; i < 4; ++i) h.submit_at(Duration{}, i);
+  for (std::uint32_t i = 0; i < 4; ++i) h.submit_at(Duration{}, i);
   h.sim.run();
   ASSERT_EQ(h.completions.size(), 4u);
   EXPECT_EQ(h.completions[0].batch_size, 4u);
@@ -184,12 +187,8 @@ TEST(AcceleratorServer, BoundedQueueDropsOverflow) {
   // the next four fill the queue, the rest must drop.
   h.sim.schedule_at(TimePoint{}, [&h] {
     int accepted = 0;
-    for (std::uint64_t i = 0; i < 10; ++i) {
-      if (h.server.submit(i, [&h](const AcceleratorServer::Completion& c) {
-            h.completions.push_back(c);
-          })) {
-        ++accepted;
-      }
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      if (h.server.submit(i)) ++accepted;
     }
     EXPECT_EQ(accepted, 5);
   });
@@ -209,7 +208,7 @@ TEST(AcceleratorServer, ContinuousLaunchesImmediatelyAndReformsBatches) {
   ServerHarness h{{.max_batch = 8, .batch_window = 50.0_ms,
                    .queue_capacity = 256, .continuous = true}};
   h.submit_at(Duration{}, 0);
-  for (std::uint64_t i = 1; i <= 5; ++i)
+  for (std::uint32_t i = 1; i <= 5; ++i)
     h.submit_at(Duration::from_millis_f(0.1), i);
   h.sim.run();
   ASSERT_EQ(h.completions.size(), 6u);

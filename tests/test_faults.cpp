@@ -397,6 +397,30 @@ TEST(FleetFaults, RecycledSlotsNeverSeeStaleTimersUnderChurn) {
   EXPECT_EQ(edgeai::fleet_report_digest(a), edgeai::fleet_report_digest(b));
 }
 
+/// Regression: the per-slot deadline and hedge timer tables must cover
+/// every slot, not only the slots whose request armed a timer. Here only
+/// the "dl" class arms a deadline, so a "free" request can hold a slot
+/// past the deadline table's end when it records.
+TEST(FleetFaults, ClassWithoutDeadlineRecordsOnAnySlot) {
+  auto config = fleet_config(2, 43);
+  config.requests = 20000;
+  config.arrivals_per_second = 9000.0;
+  for (auto& spec : config.servers) spec.batching.lanes = 2;
+  FleetStudy::SloClassSpec dl;
+  dl.name = "dl";
+  dl.share = 0.2;
+  dl.deadline = Duration::millis(8);
+  FleetStudy::SloClassSpec free;
+  free.name = "free";
+  free.share = 0.8;
+  free.lane = 1;
+  config.classes = {dl, free};
+  const auto report = FleetStudy::run(config);
+  EXPECT_GT(report.classes[0].delivered, 0u);
+  EXPECT_GT(report.classes[1].delivered, 0u);
+  expect_settled_exactly_once(report, config.requests);
+}
+
 TEST(FleetFaults, StragglerWindowsDegradeTheTailDeterministically) {
   auto config = fleet_config(3, 37);
   config.faults.straggler_rate_per_s = 0.4;
@@ -464,6 +488,34 @@ TEST(ShardedFleetFaults, FaultedCityDigestsIdenticalAcrossWorkerCounts) {
               want)
         << "workers " << workers;
   }
+}
+
+/// Regression: remote requests never arm a hedge, so with hedging on and
+/// remote traffic flowing, remote requests settle on slots no hedge timer
+/// was ever armed for; the hedge timer table must cover them too.
+TEST(ShardedFleetFaults, RemoteRequestsSettleWithHedgingOn) {
+  const auto make = [](unsigned workers) {
+    edgeai::ShardedFleetStudy::Config config;
+    config.shard = fleet_config(3, 47);
+    config.shard.requests = 8000;
+    config.shard.resilience.hedge_delay = Duration::millis(3);
+    config.shards = 4;
+    config.workers = workers;
+    config.window = Duration::from_millis_f(1.5);
+    config.remote_fraction = 0.25;
+    config.remote_uplink = synthetic_hop(1.5e-3, 0.4e-3);
+    config.remote_downlink = synthetic_hop(1.5e-3, 0.4e-3);
+    return config;
+  };
+  const auto config = make(1);
+  const auto reference = edgeai::ShardedFleetStudy::run(config);
+  EXPECT_GT(reference.remote_requests, 0u);
+  EXPECT_GT(reference.hedges, 0u);
+  expect_settled_exactly_once(reference,
+                              std::uint64_t(config.shards) *
+                                  config.shard.requests);
+  EXPECT_EQ(edgeai::fleet_report_digest(reference),
+            edgeai::fleet_report_digest(edgeai::ShardedFleetStudy::run(make(4))));
 }
 
 }  // namespace
