@@ -109,7 +109,8 @@ edgeai::ShardedFleetStudy::Config city_config(std::uint32_t per_shard,
 }
 
 // The headline scaling curve: one row per worker count, identical
-// workload and — enforced below — identical output bytes.
+// workload and — enforced below — identical output bytes. Each row
+// repeats 5 times; `bench_to_json --scaling` reads the median.
 void BM_ShardedCityServing(benchmark::State& state) {
   const auto workers = unsigned(state.range(0));
   const std::uint32_t per_shard = requests_per_shard();
@@ -147,6 +148,7 @@ BENCHMARK(BM_ShardedCityServing)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Repetitions(5)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/assert.hpp"
 #include "obs/obs.hpp"
@@ -19,15 +21,61 @@ namespace {
                            std::chrono::steady_clock::now().time_since_epoch())
                            .count());
 }
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// How long a barrier participant waits actively before it parks. A
+/// window's work is tens of microseconds, so an active wait of this
+/// length catches the next epoch without a futex round trip; the bound
+/// is wall time, not an iteration count, so an oversubscribed host
+/// (ctest -j, a threaded `--run all`) loses at most this much of a core
+/// per wait.
+constexpr std::uint64_t kSpinNs = 50'000;
+/// The first part of the active wait spins on pause alone; after it,
+/// each round also yields, so a descheduled participant that shares the
+/// core gets to finish its shards instead of waiting out the spin.
+constexpr std::uint64_t kPauseNs = 4'000;
+
+/// Spin-then-park wait: returns the first value of `word` (loaded with
+/// acquire ordering) for which `done` holds. Spins for up to kSpinNs,
+/// then blocks in std::atomic::wait; the writer side notifies.
+template <typename Done>
+std::uint32_t await(const std::atomic<std::uint32_t>& word, Done done) {
+  std::uint32_t v = word.load(std::memory_order_acquire);
+  if (done(v)) return v;
+  const std::uint64_t start = steady_ns();
+  for (unsigned i = 1;; ++i) {
+    cpu_relax();
+    v = word.load(std::memory_order_acquire);
+    if (done(v)) return v;
+    if (i % 16 != 0) continue;
+    const std::uint64_t spent = steady_ns() - start;
+    if (spent >= kSpinNs) break;
+    if (spent >= kPauseNs) std::this_thread::yield();
+  }
+  for (;;) {
+    word.wait(v, std::memory_order_acquire);
+    v = word.load(std::memory_order_acquire);
+    if (done(v)) return v;
+  }
+}
 }  // namespace
 
-/// Persistent worker pool: one barrier generation per window. Workers
-/// sleep on a condition variable between windows; per window the
-/// coordinator bumps the epoch, every participant (workers plus the
-/// coordinating thread) claims shards off an atomic cursor, and the
-/// coordinator waits until all participants have checked back in. The
-/// mutex hand-offs give the mailbox reads after the barrier a
-/// happens-before edge over every shard executed in the window.
+/// Persistent worker pool with an atomic-epoch barrier, one epoch per
+/// window. The coordinator (worker 0) stores `remaining`, then bumps
+/// `epoch` with release ordering; each worker acquires the new epoch,
+/// runs its statically bound shards, and checks in with an acq_rel
+/// fetch_sub on `remaining`. The coordinator runs its own shards, then
+/// acquires `remaining == 0`. That chain — shard writes, release by the
+/// check-in, acquire by the coordinator, release by the next bump,
+/// acquire by every worker — is the happens-before edge that makes one
+/// window's outbox appends visible to the next window's drains.
 struct ShardedSimulator::Pool {
   explicit Pool(ShardedSimulator& owner, unsigned workers)
       : sharded(owner), stats(workers) {
@@ -41,44 +89,54 @@ struct ShardedSimulator::Pool {
   }
 
   ~Pool() {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      shutdown = true;
-    }
-    cv_work.notify_all();
+    shutdown = true;  // published by the release bump below
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
     for (auto& t : threads) t.join();
     publish_profile();
   }
 
   void worker_loop(unsigned self) {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv_work.wait(lock, [&] { return shutdown || epoch != seen; });
-        if (shutdown) return;
-        seen = epoch;
-      }
+      seen = await(epoch, [seen](std::uint32_t e) { return e != seen; });
+      if (shutdown) return;
       // profile_ and bind_scopes_ are written by the coordinator before
-      // the epoch bump; the mutex hand-off above makes them visible.
-      if (sharded.profile_) {
-        const std::uint64_t t0 = steady_ns();
-        sharded.run_claimed();
-        stats[self].busy_ns += steady_ns() - t0;
-        ++stats[self].windows;
-      } else {
-        sharded.run_claimed();
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) cv_done.notify_one();
+      // the epoch bump; the acquire above makes them visible.
+      run_worker(self);
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        remaining.notify_one();
       }
     }
   }
 
+  /// Run worker `w`'s shards, timing them when profiling.
+  void run_worker(unsigned w) {
+    if (!sharded.profile_) {
+      sharded.run_bound(w);
+      return;
+    }
+    const std::uint64_t t0 = steady_ns();
+    sharded.run_bound(w);
+    stats[w].busy_ns += steady_ns() - t0;
+    ++stats[w].windows;
+  }
+
+  /// One parallel window from the coordinating thread: release the
+  /// workers, run worker 0's shards inline, wait for every check-in.
+  void run_window() {
+    const std::uint64_t w0 = sharded.profile_ ? steady_ns() : 0;
+    remaining.store(std::uint32_t(threads.size()), std::memory_order_relaxed);
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
+    run_worker(0);
+    await(remaining, [](std::uint32_t r) { return r == 0; });
+    if (sharded.profile_) wall_ns += steady_ns() - w0;
+  }
+
   /// Hand the wall-clock busy/stall rows to the obs runtime. Stall is
   /// the window wall time a participant spent NOT executing shards —
-  /// barrier waiting plus claim overhead. Explicitly non-deterministic;
+  /// barrier waiting and load imbalance. Explicitly non-deterministic;
   /// the runtime exports it outside the determinism-checked sections.
   void publish_profile() {
     if (wall_ns == 0) return;
@@ -97,23 +155,20 @@ struct ShardedSimulator::Pool {
     obs::Runtime::instance().publish_workers(std::move(rows));
   }
 
-  struct WorkerStat {
+  /// Own cache line per worker: each worker bumps only its own row.
+  struct alignas(64) WorkerStat {
     std::uint64_t busy_ns = 0;
     std::uint64_t windows = 0;
   };
 
   ShardedSimulator& sharded;
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t epoch = 0;
-  unsigned remaining = 0;
+  alignas(64) std::atomic<std::uint32_t> epoch{0};
+  alignas(64) std::atomic<std::uint32_t> remaining{0};
   bool shutdown = false;
-  std::atomic<std::uint32_t> cursor{0};
-  std::vector<std::thread> threads;
   std::vector<WorkerStat> stats;  ///< index 0 is the coordinator
   std::uint64_t wall_ns = 0;      ///< profiled window wall time, summed
   std::uint32_t pool_id = 0;
+  std::vector<std::thread> threads;  ///< last: uses every member above
 };
 
 ShardedSimulator::ShardedSimulator(const Config& config) : config_(config) {
@@ -129,6 +184,7 @@ ShardedSimulator::ShardedSimulator(const Config& config) : config_(config) {
     shards_.push_back(
         std::make_unique<Shard>(shard_seed(config.seed, k), config.shards));
   }
+  if (workers_ > 1) pool_ = std::make_unique<Pool>(*this, workers_);
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -148,89 +204,58 @@ void ShardedSimulator::post(std::uint32_t src, std::uint32_t dst, TimePoint at,
               "the window exceeds the minimum cross-shard latency");
   SIXG_ASSERT(running_ || at >= now_,
               "cross-shard message due before the barrier clock");
-  shards_[src]->outbox[dst].push_back(Message{at, std::move(action)});
+  // Inside window w, write buffer w & 1 (window w + 1 drains it);
+  // outside a window, write the buffer the next window drains.
+  const std::uint64_t next = running_ ? windows_ : windows_ + 1;
+  Shard& from = *shards_[src];
+  from.outbox[next & 1][dst].push_back(Message{at, std::move(action)});
+  ++from.posted[next & 1];
 }
 
 bool ShardedSimulator::has_work() const {
   for (const auto& shard : shards_) {
     if (shard->sim.pending_events() > 0) return true;
-    for (const auto& box : shard->outbox) {
-      if (!box.empty()) return true;
-    }
+    if (shard->posted[0] + shard->posted[1] > 0) return true;
   }
   return false;
 }
 
-void ShardedSimulator::drain_mailboxes() {
+void ShardedSimulator::drain_into(std::uint32_t dst) {
   // Fixed (dst, src, append-order) total order: the destination kernel
   // assigns the same event sequence numbers regardless of which worker
-  // ran which shard. This order IS the determinism contract — do not
-  // reorder for convenience.
-  for (std::uint32_t dst = 0; dst < shards_.size(); ++dst) {
-    Simulator& sink = shards_[dst]->sim;
-    for (std::uint32_t src = 0; src < shards_.size(); ++src) {
-      if (src == dst) continue;
-      auto& box = shards_[src]->outbox[dst];
-      for (Message& m : box) {
-        SIXG_ASSERT(m.at >= now_,
-                    "drained message due before the barrier clock");
-        sink.schedule_at(m.at, std::move(m.action));
-        ++messages_;
-      }
-      box.clear();
+  // runs which shard. This order IS the determinism contract — do not
+  // reorder for convenience. The buffer is the one the previous window
+  // (or the coordinator, between windows) wrote; sources append to the
+  // other one while this drain runs.
+  const std::size_t parity = (windows_ + 1) & 1;
+  Simulator& sink = shards_[dst]->sim;
+  for (std::uint32_t src = 0; src < shards_.size(); ++src) {
+    if (src == dst) continue;
+    auto& box = shards_[src]->outbox[parity][dst];
+    for (Message& m : box) {
+      SIXG_ASSERT(m.at >= now_,
+                  "drained message due before the barrier clock");
+      sink.schedule_at(m.at, std::move(m.action));
     }
+    box.clear();
   }
 }
 
-void ShardedSimulator::run_claimed() {
-  for (;;) {
-    const std::uint32_t k =
-        pool_->cursor.fetch_add(1, std::memory_order_relaxed);
-    if (k >= shards_.size()) return;
-    // Shard k's probes always land in shard k's scope, regardless of
-    // which worker claimed it — the merged metrics (and the per-shard
-    // trace streams) stay byte-identical at any worker count.
+void ShardedSimulator::run_bound(unsigned worker) {
+  for (std::uint32_t k = worker; k < shards_.size(); k += workers_) {
+    // Shard k's probes always land in shard k's scope, whichever worker
+    // it is bound to — the merged metrics (and the per-shard trace
+    // streams) stay byte-identical at any worker count.
     const obs::ScopeBind bind(bind_scopes_ ? scopes_[k] : nullptr);
+    drain_into(k);
     shards_[k]->sim.run_until(horizon_);
-  }
-}
-
-void ShardedSimulator::execute_shards() {
-  if (workers_ <= 1) {
-    for (std::uint32_t k = 0; k < shards_.size(); ++k) {
-      const obs::ScopeBind bind(bind_scopes_ ? scopes_[k] : nullptr);
-      shards_[k]->sim.run_until(horizon_);
-    }
-    return;
-  }
-  if (pool_ == nullptr) pool_ = std::make_unique<Pool>(*this, workers_);
-  {
-    const std::lock_guard<std::mutex> lock(pool_->mu);
-    pool_->cursor.store(0, std::memory_order_relaxed);
-    pool_->remaining = workers_ - 1;  // the coordinator checks in inline
-    ++pool_->epoch;
-  }
-  pool_->cv_work.notify_all();
-  if (profile_) {
-    const std::uint64_t w0 = steady_ns();
-    run_claimed();
-    const std::uint64_t busy = steady_ns() - w0;
-    pool_->stats[0].busy_ns += busy;
-    ++pool_->stats[0].windows;
-    std::unique_lock<std::mutex> lock(pool_->mu);
-    pool_->cv_done.wait(lock, [&] { return pool_->remaining == 0; });
-    pool_->wall_ns += steady_ns() - w0;
-  } else {
-    run_claimed();
-    std::unique_lock<std::mutex> lock(pool_->mu);
-    pool_->cv_done.wait(lock, [&] { return pool_->remaining == 0; });
   }
 }
 
 void ShardedSimulator::step_window(TimePoint horizon) {
   if (obs::kProbesCompiled) {
     // Latch per-window observability decisions on the coordinator; the
-    // pool's epoch mutex publishes them to workers.
+    // epoch bump publishes them to workers.
     bind_scopes_ = obs::probes_enabled();
     profile_ = obs::metrics_on() && workers_ > 1;
     if (bind_scopes_ && scopes_.empty()) {
@@ -241,9 +266,15 @@ void ShardedSimulator::step_window(TimePoint horizon) {
       }
     }
   }
-  const std::uint64_t delivered0 = messages_;
-  drain_mailboxes();
-  const std::uint64_t delivered = messages_ - delivered0;
+  // Every message in the drain buffer is delivered this window: count
+  // them here, before the workers take the buffer.
+  std::uint64_t delivered = 0;
+  const std::size_t parity = (windows_ + 1) & 1;
+  for (const auto& shard : shards_) {
+    delivered += shard->posted[parity];
+    shard->posted[parity] = 0;
+  }
+  messages_ += delivered;
   SIXG_OBS_COUNT(obs::Metric::kShardMessages, delivered);
   SIXG_OBS_HIST(obs::Metric::kHistDrainMessages, delivered);
   SIXG_OBS_COUNT(obs::Metric::kShardWindows, 1);
@@ -252,7 +283,11 @@ void ShardedSimulator::step_window(TimePoint horizon) {
                 windows_);
   horizon_ = horizon;
   running_ = true;
-  execute_shards();
+  if (pool_ != nullptr) {
+    pool_->run_window();
+  } else {
+    run_bound(0);
+  }
   running_ = false;
   now_ = horizon;
   ++windows_;

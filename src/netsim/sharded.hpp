@@ -12,9 +12,17 @@
 ///      mailboxes: during a window only the one worker executing shard
 ///      `src` appends to src's outboxes, so append order is the source
 ///      timeline's event order, independent of scheduling.
-///   3. Mailboxes drain at the barrier on the coordinating thread in a
-///      fixed (dst, src, append-order) total order, so the destination
-///      kernel assigns the same sequence numbers every run.
+///   3. Each destination shard's inbound mail is drained by the worker
+///      that owns it, just before that shard runs the window, in a fixed
+///      (dst, src, append-order) total order, so the destination kernel
+///      assigns the same sequence numbers every run. The drain reads the
+///      buffer the previous window wrote; outboxes are double-buffered
+///      by window parity, so sources append to the other buffer while
+///      the drain runs.
+/// Shard k is statically bound to worker k % workers (the coordinating
+/// thread is worker 0), and the window barrier is an atomic epoch that
+/// the coordinator bumps and every worker checks back in from; it spins
+/// for a bounded time, then parks.
 ///
 /// Causality is conservative (no rollback): a message posted during the
 /// window ending at `horizon` must not be scheduled before `horizon`.
@@ -23,6 +31,7 @@
 /// asserts the bound on every message.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -116,7 +125,8 @@ class ShardedSimulator {
   /// Windows executed so far. During a window (i.e. from inside an
   /// executing action) this is the index of the current window.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
-  /// Cross-shard messages delivered at barriers so far.
+  /// Cross-shard messages delivered so far (counted when the window
+  /// that drains them starts).
   [[nodiscard]] std::uint64_t messages() const { return messages_; }
   /// Events processed across all shards.
   [[nodiscard]] std::uint64_t processed_events() const;
@@ -127,26 +137,32 @@ class ShardedSimulator {
     Simulator::Action action;
   };
 
-  /// One shard: its timeline plus its outboxes (one per destination).
-  /// During a window, exactly one worker executes the shard, so the
-  /// outboxes are single-writer; the coordinator reads them only after
-  /// the barrier.
+  /// One shard: its timeline plus its outboxes, one per destination in
+  /// each of two window-parity buffers. Inside window w only the worker
+  /// bound to this shard appends, to buffer w & 1; during window w + 1
+  /// each destination's owning worker drains its box of that buffer
+  /// while this shard appends to the other one. `posted` counts the
+  /// messages in each buffer, so the coordinator reads one counter per
+  /// shard instead of every box.
   struct Shard {
     Simulator sim;
-    std::vector<std::vector<Message>> outbox;
-    Shard(std::uint64_t seed, std::uint32_t shards)
-        : sim(seed), outbox(shards) {}
+    std::array<std::vector<std::vector<Message>>, 2> outbox;
+    std::array<std::uint64_t, 2> posted{};
+    Shard(std::uint64_t seed, std::uint32_t shards) : sim(seed) {
+      for (auto& buffer : outbox) buffer.resize(shards);
+    }
   };
 
-  struct Pool;  ///< persistent worker pool (defined in sharded.cpp)
+  struct Pool;  ///< persistent epoch-barrier worker pool (sharded.cpp)
 
   [[nodiscard]] bool has_work() const;
-  /// Deliver every queued message (fixed order), then run all shards to
-  /// `horizon` in parallel and advance the barrier clock.
+  /// Count the messages the coming window delivers, then run the window
+  /// on every worker and advance the barrier clock.
   void step_window(TimePoint horizon);
-  void drain_mailboxes();
-  void execute_shards();
-  void run_claimed();  ///< claim-and-run loop shared by all workers
+  /// Schedule shard `dst`'s inbound mail from the previous window.
+  void drain_into(std::uint32_t dst);
+  /// Drain and run, to horizon_, every shard bound to `worker`.
+  void run_bound(unsigned worker);
 
   Config config_;
   unsigned workers_;
@@ -156,13 +172,13 @@ class ShardedSimulator {
   bool running_ = false;     ///< a window is executing right now
   std::uint64_t windows_ = 0;
   std::uint64_t messages_ = 0;
-  std::unique_ptr<Pool> pool_;  ///< lazily started on first parallel window
+  std::unique_ptr<Pool> pool_;  ///< null when one worker runs every shard
 
   /// Observability: when probes are enabled, the coordinator latches
-  /// these before each window's epoch bump (the pool's mutex hand-off
-  /// makes them visible to workers). Shard k's probes land in shard k's
-  /// scope no matter which worker runs it — the per-shard-slot rule the
-  /// determinism contract needs.
+  /// these before each window's epoch bump (the release bump and the
+  /// workers' acquire make them visible). Shard k's probes land in
+  /// shard k's scope whichever worker it is bound to — the per-shard-slot
+  /// rule the determinism contract needs.
   bool bind_scopes_ = false;   ///< bind per-shard obs scopes this window
   bool profile_ = false;       ///< wall-clock worker profiling this window
   std::vector<obs::Scope*> scopes_;  ///< shard scope per shard, lazy

@@ -1,8 +1,10 @@
 /// Determinism and causality harness for the sharded kernel. Three
 /// layers, mirroring the contract in netsim/sharded.hpp:
 ///   1. kernel: a 1-shard ShardedSimulator replays a plain Simulator
-///      timeline event for event, and an N-shard message storm is
-///      byte-identical at any worker count;
+///      timeline event for event, an N-shard message storm and a
+///      10k-window ping-pong are byte-identical at any worker count,
+///      coordinator posts between runs land in the next window, and
+///      the worker pool shuts down from any state;
 ///   2. causality: randomized cross-shard latencies and window sizes —
 ///      no event may execute before the conservative lower bound of the
 ///      window it was posted from (source barrier clock + window);
@@ -12,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -168,10 +172,15 @@ std::vector<std::vector<std::pair<std::int64_t, std::uint64_t>>> run_storm(
 }
 
 TEST(ShardedSimulator, StormIsByteIdenticalAcrossWorkerCounts) {
-  const auto reference = run_storm(4, Duration::micros(800), 1, 11);
-  for (const unsigned workers : {2u, 4u, 8u}) {
-    EXPECT_EQ(reference, run_storm(4, Duration::micros(800), workers, 11))
-        << "workers " << workers;
+  // 7 shards bind unevenly to every worker count (shard k runs on worker
+  // k % workers), and 8 workers clamp to the shard count.
+  for (const std::uint32_t shards : {4u, 7u}) {
+    const auto reference = run_storm(shards, Duration::micros(800), 1, 11);
+    for (const unsigned workers : {2u, 3u, 4u, 8u}) {
+      EXPECT_EQ(reference,
+                run_storm(shards, Duration::micros(800), workers, 11))
+          << shards << " shards, workers " << workers;
+    }
   }
 }
 
@@ -189,6 +198,132 @@ TEST(ShardedSimulator, CausalityHoldsUnderRandomizedWindowsAndLatencies) {
     const auto serial = run_storm(shards, window, 1, seed);
     const auto wide = run_storm(shards, window, 4, seed);
     EXPECT_EQ(serial, wide) << "iteration " << iteration;
+  }
+}
+
+/// Cross-shard ping-pong: each token hops to the next shard exactly one
+/// window later, so every window holds at most a few events and the run
+/// is ~all barrier. Each hop folds (shard, time, window, token) into its
+/// shard's FNV-1a digest.
+struct PingPong {
+  ShardedSimulator* kernel = nullptr;
+  Duration window;
+  std::vector<std::uint64_t> digests;
+};
+
+struct PingPongHop {
+  PingPong* game;
+  std::uint32_t shard;
+  std::uint32_t token;
+  std::uint32_t hops;
+  void operator()() const {
+    PingPong& g = *game;
+    const Simulator& sim = g.kernel->shard(shard);
+    std::uint64_t& h = g.digests[shard];
+    for (const std::uint64_t v :
+         {std::uint64_t(sim.now().ns()), g.kernel->windows(),
+          std::uint64_t(token)}) {
+      h = (h ^ v) * 1099511628211ULL;
+    }
+    if (hops == 0) return;
+    const std::uint32_t dst = (shard + 1 + token) % g.kernel->shard_count();
+    g.kernel->post(shard, dst, sim.now() + g.window,
+                   PingPongHop{game, dst, token, hops - 1});
+  }
+};
+
+std::pair<std::vector<std::uint64_t>, std::uint64_t> run_ping_pong(
+    unsigned workers) {
+  constexpr std::uint32_t kShards = 5;
+  constexpr std::uint32_t kHops = 10000;
+  ShardedSimulator::Config config;
+  config.shards = kShards;
+  config.window = Duration::micros(10);
+  config.seed = 3;
+  config.workers = workers;
+  ShardedSimulator kernel{config};
+  PingPong game;
+  game.kernel = &kernel;
+  game.window = config.window;
+  game.digests.assign(kShards, 1469598103934665603ULL);
+  for (std::uint32_t token = 0; token < 3; ++token) {
+    kernel.shard(token).schedule_at(
+        TimePoint{} + Duration::micros(1 + token),
+        PingPongHop{&game, token, token, kHops});
+  }
+  kernel.run();
+  EXPECT_EQ(kernel.messages(), 3u * kHops);
+  return {game.digests, kernel.windows()};
+}
+
+TEST(ShardedSimulator, TenThousandNearEmptyWindowsAreByteIdentical) {
+  const auto reference = run_ping_pong(1);
+  EXPECT_GE(reference.second, 10000u);
+  for (const unsigned workers : {2u, 3u, 4u, 8u}) {
+    EXPECT_EQ(reference, run_ping_pong(workers)) << "workers " << workers;
+  }
+}
+
+TEST(ShardedSimulator, CoordinatorPostsBetweenRunsArriveAtTheNextWindow) {
+  // Outside a window, post() must write the buffer the next window
+  // drains, not the one that window's sources append to: a message due
+  // at the barrier clock has to execute in the very next window, merged
+  // with the previous window's mail to the same shard by source index.
+  for (const unsigned workers : {1u, 2u, 3u}) {
+    ShardedSimulator::Config config;
+    config.shards = 3;
+    config.window = Duration::millis(1);
+    config.workers = workers;
+    ShardedSimulator kernel{config};
+    const TimePoint barrier = TimePoint{} + Duration::millis(2);
+    std::vector<std::pair<int, std::uint64_t>> arrivals;  // (tag, window)
+    // Shard 1 mails shard 2 during window 1, due at the barrier.
+    const auto mail_from_shard1 = [&kernel, &arrivals, barrier] {
+      kernel.post(1, 2, barrier, [&kernel, &arrivals] {
+        arrivals.emplace_back(1, kernel.windows());
+      });
+    };
+    kernel.shard(1).schedule_at(TimePoint{} + Duration::from_millis_f(1.5),
+                                mail_from_shard1);
+    kernel.run_until(barrier);
+    ASSERT_EQ(kernel.windows(), 2u);
+    ASSERT_TRUE(arrivals.empty());
+    // The coordinator mails shard 2 from source 0, due at the barrier.
+    kernel.post(0, 2, barrier, [&kernel, &arrivals, barrier] {
+      EXPECT_EQ(kernel.shard(2).now().ns(), barrier.ns());
+      arrivals.emplace_back(0, kernel.windows());
+    });
+    kernel.run_until(barrier + Duration::millis(1));
+    // Both arrive in window 2, in (dst, src, append) order.
+    const std::vector<std::pair<int, std::uint64_t>> want{{0, 2}, {1, 2}};
+    EXPECT_EQ(arrivals, want) << "workers " << workers;
+    EXPECT_EQ(kernel.messages(), 2u);
+    // A post before the first run lands in window 0 the same way.
+    ShardedSimulator fresh{config};
+    bool delivered = false;
+    fresh.post(2, 0, TimePoint{}, [&] { delivered = fresh.windows() == 0; });
+    fresh.run_until(TimePoint{} + Duration::millis(1));
+    EXPECT_TRUE(delivered) << "workers " << workers;
+  }
+}
+
+TEST(ShardedSimulator, PoolShutsDownWithoutHanging) {
+  ShardedSimulator::Config config;
+  config.shards = 4;
+  config.workers = 4;
+  for (int round = 0; round < 20; ++round) {
+    // Never runs a window: workers are still spinning on the first epoch.
+    { const ShardedSimulator idle{config}; }
+    // Never runs a window, destroyed after the workers have parked.
+    {
+      const ShardedSimulator parked{config};
+      if (round == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    // Destroyed right after a run_until.
+    ShardedSimulator ran{config};
+    ran.shard(3).schedule_at(TimePoint{} + Duration::micros(300), [] {});
+    ran.run_until(TimePoint{} + Duration::millis(2));
+    EXPECT_EQ(ran.processed_events(), 1u);
   }
 }
 
