@@ -8,33 +8,20 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "geo/grid.hpp"
-#include "geo/population.hpp"
+#include "core/scenario.hpp"
 #include "measurement/grid_campaign.hpp"
 #include "netsim/parallel.hpp"
-#include "radio/conditions.hpp"
-#include "radio/profile.hpp"
-#include "topo/europe.hpp"
 
 int main(int argc, char** argv) {
   using namespace sixg;
 
-  const auto grid = geo::SectorGrid::klagenfurt_sector();
-  const auto population = geo::PopulationRaster::klagenfurt(grid);
-  const auto rem = radio::RadioEnvironmentMap::klagenfurt(grid, population);
-  const auto europe = topo::build_europe();
-
-  meas::GridCampaign::Config config;
-  if (argc > 1) config.seed = std::strtoull(argv[1], nullptr, 10);
-
-  const meas::GridCampaign campaign{
-      grid,          population,
-      rem,           europe.net,
-      europe.mobile_ue, europe.university_probe,
-      radio::AccessProfile::fiveg_nsa(), config};
+  const core::KlagenfurtStudy study;
+  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
+                                      : study.campaign_config().seed;
 
   const netsim::ParallelRunner runner;
-  const meas::GridReport report = campaign.run(runner);
+  const meas::GridReport report =
+      study.campaign(study.access_profile(), seed).run(runner);
 
   std::printf("Measurement counts per cell ('-' = not traversed):\n%s\n",
               report.count_table().str().c_str());
@@ -48,7 +35,7 @@ int main(int argc, char** argv) {
   const auto min_sd = report.min_stddev();
   const auto max_sd = report.max_stddev();
   std::printf("traversed cells: %d of %d, suppressed (<%u samples): %d\n",
-              report.traversed_count(), grid.cell_count(),
+              report.traversed_count(), study.grid().cell_count(),
               report.min_samples(), report.suppressed_count());
   std::printf("mean RTL range: %.1f ms (%s) .. %.1f ms (%s)\n", min_mean.value,
               min_mean.label.c_str(), max_mean.value, max_mean.label.c_str());

@@ -11,14 +11,14 @@ KlagenfurtStudy::KlagenfurtStudy(const Options& options)
       rem_(radio::RadioEnvironmentMap::klagenfurt(grid_, population_)),
       europe_(topo::build_europe(options.europe)) {}
 
-meas::GridReport KlagenfurtStudy::run_campaign() const {
-  const meas::GridCampaign campaign{
-      grid_,          population_,
-      rem_,           europe_.net,
-      europe_.mobile_ue, europe_.university_probe,
-      access_profile(), options_.campaign};
-  const netsim::ParallelRunner runner;
-  return campaign.run(runner);
+meas::GridCampaign KlagenfurtStudy::campaign(
+    const radio::AccessProfile& profile, std::uint64_t seed) const {
+  meas::GridCampaign::Config config = options_.campaign;
+  config.seed = seed;
+  return meas::GridCampaign{grid_,          population_,
+                            rem_,           europe_.net,
+                            europe_.mobile_ue, europe_.university_probe,
+                            profile,        config};
 }
 
 stats::Summary KlagenfurtStudy::wired_baseline(std::uint32_t samples,

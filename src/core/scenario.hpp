@@ -2,12 +2,11 @@
 /// radio environment, topology and the canonical campaign configuration.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 
 #include "geo/grid.hpp"
 #include "geo/population.hpp"
 #include "measurement/grid_campaign.hpp"
-#include "netsim/parallel.hpp"
 #include "radio/conditions.hpp"
 #include "radio/profile.hpp"
 #include "topo/europe.hpp"
@@ -43,8 +42,11 @@ class KlagenfurtStudy {
     return radio::AccessProfile::fiveg_nsa();
   }
 
-  /// Run the full drive-test campaign (parallel over cells).
-  [[nodiscard]] meas::GridReport run_campaign() const;
+  /// The drive-test campaign over this world under `profile`: the
+  /// campaign_config() seeded with `seed`. The campaign refers to this
+  /// study, which must outlive it; the caller picks the runner.
+  [[nodiscard]] meas::GridCampaign campaign(
+      const radio::AccessProfile& profile, std::uint64_t seed) const;
 
   /// Wired-population baseline: residential host -> probe RTT summary.
   [[nodiscard]] stats::Summary wired_baseline(std::uint32_t samples = 2000,

@@ -61,27 +61,11 @@ namespace {
   return buf;
 }
 
-/// The drive-test campaign of `study` under `profile`, seeded from the
-/// context. All grid scenarios build their campaign here so they share
-/// one determinism story (fig1 also lists plans() off the same object).
-meas::GridCampaign make_campaign(const KlagenfurtStudy& study,
-                                 const radio::AccessProfile& profile,
-                                 const RunContext& ctx) {
-  meas::GridCampaign::Config config = study.campaign_config();
-  config.seed = ctx.seed_for(0x9a24);
-  return meas::GridCampaign{
-      study.grid(),           study.population(),
-      study.rem(),            study.europe().net,
-      study.europe().mobile_ue, study.europe().university_probe,
-      profile,                config};
-}
-
-/// Run the campaign, honouring the context's thread count.
-meas::GridReport run_grid_campaign(const KlagenfurtStudy& study,
-                                   const radio::AccessProfile& profile,
-                                   const RunContext& ctx) {
-  const auto runner = ctx.runner();
-  return make_campaign(study, profile, ctx).run(runner);
+/// The seed of every grid scenario's drive-test campaign, so all of them
+/// share one determinism story (fig1 also lists plans() off the same
+/// campaign).
+std::uint64_t campaign_seed(const RunContext& ctx) {
+  return ctx.seed_for(0x9a24);
 }
 
 /// The wired-population baseline both fig2 and gap-analysis anchor their
@@ -136,7 +120,8 @@ ScenarioResult fig1(const RunContext& ctx) {
 
   // One campaign for both the trace listing and the count table, so the
   // plans shown are exactly the drives the report measured.
-  const auto campaign = make_campaign(study, study.access_profile(), ctx);
+  const auto campaign =
+      study.campaign(study.access_profile(), campaign_seed(ctx));
   const auto plans = campaign.plans();
   r.add_note(strf("Drive traces (%zu mobile nodes):", plans.size()));
   for (std::size_t n = 0; n < plans.size(); ++n) {
@@ -146,8 +131,7 @@ ScenarioResult fig1(const RunContext& ctx) {
                     plans[n].traversed_cell_count(grid)));
   }
 
-  const auto runner = ctx.runner();
-  const auto report = campaign.run(runner);
+  const auto report = campaign.run(ctx.runner());
   r.add_table(report.count_table(),
               "Measurement counts per cell ('-' = not traversed):");
   r.add_anchor("traversed cells", report.traversed_count(), "33");
@@ -159,7 +143,9 @@ ScenarioResult fig1(const RunContext& ctx) {
 ScenarioResult fig2(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
-  const auto report = run_grid_campaign(study, study.access_profile(), ctx);
+  const auto report =
+      study.campaign(study.access_profile(), campaign_seed(ctx))
+          .run(ctx.runner());
 
   r.add_table(report.mean_table());
   r.add_note(strf("(0.0 = traversed but fewer than %u measurements; '-' = "
@@ -183,7 +169,9 @@ ScenarioResult fig2(const RunContext& ctx) {
 ScenarioResult fig3(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
-  const auto report = run_grid_campaign(study, study.access_profile(), ctx);
+  const auto report =
+      study.campaign(study.access_profile(), campaign_seed(ctx))
+          .run(ctx.runner());
 
   r.add_table(report.stddev_table());
 
@@ -268,7 +256,8 @@ ScenarioResult fig2_6g(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy measured;
   const auto measured_report =
-      run_grid_campaign(measured, measured.access_profile(), ctx);
+      measured.campaign(measured.access_profile(), campaign_seed(ctx))
+          .run(ctx.runner());
 
   KlagenfurtStudy::Options options;
   options.europe.local_breakout = true;
@@ -276,9 +265,11 @@ ScenarioResult fig2_6g(const RunContext& ctx) {
   const KlagenfurtStudy fixed{options};
 
   const auto sa_report =
-      run_grid_campaign(fixed, radio::AccessProfile::fiveg_sa_urllc(), ctx);
+      fixed.campaign(radio::AccessProfile::fiveg_sa_urllc(), campaign_seed(ctx))
+          .run(ctx.runner());
   const auto sixg_report =
-      run_grid_campaign(fixed, radio::AccessProfile::sixg(), ctx);
+      fixed.campaign(radio::AccessProfile::sixg(), campaign_seed(ctx))
+          .run(ctx.runner());
 
   r.add_table(sa_report.mean_table(),
               "5G-SA URLLC + local peering, mean RTL per cell (ms):");
@@ -338,7 +329,9 @@ ScenarioResult requirements(const RunContext&) {
 ScenarioResult gap_analysis(const RunContext& ctx) {
   ScenarioResult r;
   const KlagenfurtStudy study;
-  const auto report = run_grid_campaign(study, study.access_profile(), ctx);
+  const auto report =
+      study.campaign(study.access_profile(), campaign_seed(ctx))
+          .run(ctx.runner());
   const auto wired = wired_baseline(study, ctx);
 
   const GapAnalysis gap{

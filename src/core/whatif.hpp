@@ -1,29 +1,17 @@
-/// @file whatif.hpp — what-if engine applying each Section V recommendation
-/// to the measured scenario and quantifying the improvement.
+/// @file whatif.hpp — what-if engine applying the Section V-A local-peering
+/// recommendation to the measured scenario and quantifying the improvement.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
-#include "core/scenario.hpp"
-#include "fivegcore/placement.hpp"
+#include "radio/conditions.hpp"
 
 namespace sixg::core {
 
-/// The three 6G recommendations of Section V.
-enum class Recommendation : std::uint8_t {
-  kLocalPeering,     ///< V-A: peer carrier and local networks at a local IX
-  kUpfIntegration,   ///< V-B: anchor the user plane (and services) at the edge
-  kCpfEnhancement,   ///< V-C: converged, context-aware control plane
-};
-
-[[nodiscard]] const char* to_string(Recommendation r);
-
-/// Before/after effect of one recommendation on the measured scenario.
+/// Before/after effect of the recommendation on one measured metric.
 struct WhatIfResult {
-  Recommendation recommendation{};
   std::string metric;      ///< what was measured
   double before = 0.0;
   double after = 0.0;
@@ -33,9 +21,11 @@ struct WhatIfResult {
   }
 };
 
-/// Applies each Section V recommendation to the calibrated Klagenfurt
-/// scenario and quantifies the improvement — turning the paper's
-/// literature-derived claims into reproducible simulation outputs.
+/// Applies the local-peering recommendation (Section V-A) to the calibrated
+/// Klagenfurt world and quantifies the improvement — turning the paper's
+/// literature-derived claim into reproducible simulation outputs. The UPF
+/// (V-B) and control-plane (V-C) recommendations are the `ablation-upf`
+/// and `ablation-cpf` scenarios.
 class WhatIfEngine {
  public:
   struct Config {
@@ -54,18 +44,6 @@ class WhatIfEngine {
   /// V-A: rebuild the topology with local breakout + local peering and
   /// compare hops, routed distance and RTT of the UE -> probe path.
   [[nodiscard]] std::vector<WhatIfResult> local_peering() const;
-
-  /// V-B: UPF placement sweep (delegates to UpfPlacementStudy) distilled
-  /// into the headline before/after numbers.
-  [[nodiscard]] std::vector<WhatIfResult> upf_integration() const;
-
-  /// V-C: control-plane enhancement — session setup (conventional vs
-  /// converged), QoS rule lookups (linear vs context-aware) and handover
-  /// interruption (core-anchored vs hybrid).
-  [[nodiscard]] std::vector<WhatIfResult> cpf_enhancement() const;
-
-  /// All three, rendered as the Section V summary table.
-  [[nodiscard]] TextTable report() const;
 
  private:
   Config config_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -11,11 +12,6 @@ namespace sixg::netsim {
 ParallelRunner::ParallelRunner(unsigned threads)
     : threads_(threads != 0 ? threads
                             : std::max(1u, std::thread::hardware_concurrency())) {}
-
-void ParallelRunner::run(std::size_t job_count,
-                         const std::function<void(std::size_t)>& job) const {
-  run_chunked(job_count, 1, job);
-}
 
 void ParallelRunner::run_chunked(
     std::size_t job_count, std::size_t chunk,

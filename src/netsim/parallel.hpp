@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace sixg::netsim {
 
@@ -23,32 +22,17 @@ class ParallelRunner {
 
   [[nodiscard]] unsigned thread_count() const { return threads_; }
 
-  /// Run job(i) for i in [0, job_count). Blocks until all jobs finish.
-  /// Jobs must not throw; they run on worker threads.
-  void run(std::size_t job_count,
-           const std::function<void(std::size_t)>& job) const;
-
-  /// Like run(), but workers claim `chunk` consecutive indices per
-  /// cursor bump: one atomic RMW per chunk instead of per job, and
-  /// consecutive indices (which usually share warm state) stay on one
-  /// worker. `chunk` == 0 or 1 degenerates to run(). The campaign
-  /// engine sizes chunks so each worker gets several turns. A chunk
+  /// Run job(i) for i in [0, job_count); blocks until all jobs finish.
+  /// Jobs must not throw; they run on worker threads. Workers claim
+  /// `chunk` consecutive indices per cursor bump: one atomic RMW per
+  /// chunk instead of per job, and consecutive indices (which usually
+  /// share warm state) stay on one worker. `chunk` == 0 means 1. The
+  /// campaign engine sizes chunks so each worker gets several turns. A chunk
   /// larger than the job list is clamped to a fair per-thread split
   /// rather than serialising the run; chunking never changes results
   /// (jobs are independent and seeds derive from the index alone).
   void run_chunked(std::size_t job_count, std::size_t chunk,
                    const std::function<void(std::size_t)>& job) const;
-
-  /// Map i -> R over [0, job_count) in parallel; results land at their own
-  /// index so output order is deterministic regardless of scheduling.
-  template <typename R>
-  [[nodiscard]] std::vector<R> map(
-      std::size_t job_count,
-      const std::function<R(std::size_t)>& job) const {
-    std::vector<R> results(job_count);
-    run(job_count, [&](std::size_t i) { results[i] = job(i); });
-    return results;
-  }
 
  private:
   unsigned threads_;

@@ -4,6 +4,7 @@
 #include "core/requirements.hpp"
 #include "core/scenario.hpp"
 #include "core/whatif.hpp"
+#include "netsim/parallel.hpp"
 
 namespace sixg::core {
 namespace {
@@ -57,7 +58,11 @@ class CampaignShape : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     study_ = new KlagenfurtStudy();
-    report_ = new meas::GridReport(study_->run_campaign());
+    const netsim::ParallelRunner runner;
+    report_ = new meas::GridReport(
+        study_->campaign(study_->access_profile(),
+                         study_->campaign_config().seed)
+            .run(runner));
     wired_ = new stats::Summary(study_->wired_baseline());
   }
   static void TearDownTestSuite() {
@@ -190,36 +195,6 @@ TEST_F(WhatIfFixture, LocalPeeringReducesRtlButRadioRemains) {
   // above the wired regime — the paper's argument for also fixing the
   // access (V-B).
   EXPECT_GT(rtl.after, 15.0);
-}
-
-TEST_F(WhatIfFixture, UpfIntegrationReaches90PercentReduction) {
-  const auto rows = engine_->upf_integration();
-  const auto& edge_sa =
-      find(rows, "user-plane RTT, edge UPF + 5G-SA URLLC access");
-  EXPECT_GT(edge_sa.improvement_factor(), 8.0);  // >= ~88 % reduction
-  const auto& smartnic = find(rows, "UPF pipeline latency (host vs SmartNIC)");
-  EXPECT_NEAR(smartnic.improvement_factor(), 3.75, 0.01);
-}
-
-TEST_F(WhatIfFixture, CpfEnhancementImprovesEveryMetric) {
-  const auto rows = engine_->cpf_enhancement();
-  for (const auto& r : rows) {
-    EXPECT_GT(r.before, r.after) << r.metric;
-  }
-}
-
-TEST_F(WhatIfFixture, ReportCoversAllThreeRecommendations) {
-  const auto table = engine_->report();
-  EXPECT_GE(table.row_count(), 10u);
-}
-
-TEST(WhatIf, RecommendationNames) {
-  EXPECT_STREQ(to_string(Recommendation::kLocalPeering),
-               "local peering (V-A)");
-  EXPECT_STREQ(to_string(Recommendation::kUpfIntegration),
-               "UPF integration (V-B)");
-  EXPECT_STREQ(to_string(Recommendation::kCpfEnhancement),
-               "CPF enhancement (V-C)");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/whatif.hpp"
 #include "fivegcore/placement.hpp"
 #include "measurement/ping.hpp"
+#include "netsim/parallel.hpp"
 #include "radio/link_model.hpp"
 #include "slicing/admission.hpp"
 #include "topo/traceroute.hpp"
@@ -18,16 +19,24 @@
 namespace sixg {
 namespace {
 
+/// The study's canonical campaign (its own config seed), on this host's
+/// cores.
+meas::GridReport run_campaign(const core::KlagenfurtStudy& study) {
+  const netsim::ParallelRunner runner;
+  return study.campaign(study.access_profile(), study.campaign_config().seed)
+      .run(runner);
+}
+
 TEST(Integration, FullPipelineEndToEnd) {
   // 1. Build the calibrated world and run the measurement campaign.
   const core::KlagenfurtStudy study;
-  const auto report = study.run_campaign();
+  const auto report = run_campaign(study);
   ASSERT_GT(report.traversed_count(), 20);
 
   // 2. Gap analysis must find the paper's story: a large excess over the
   //    binding requirement.
   const core::GapAnalysis gap{
-      study.run_campaign(), study.wired_baseline(),
+      report, study.wired_baseline(),
       core::RequirementsRegistry::paper_registry().binding_requirement()};
   EXPECT_GT(gap.findings().requirement_excess_percent, 150.0);
 
@@ -60,7 +69,7 @@ TEST(Integration, FullPipelineEndToEnd) {
 TEST(Integration, WholeStackIsDeterministic) {
   const auto run_once = [] {
     const core::KlagenfurtStudy study;
-    const auto report = study.run_campaign();
+    const auto report = run_campaign(study);
     const auto min_mean = report.min_mean();
     const auto max_sd = report.max_stddev();
     return std::make_tuple(min_mean.label, min_mean.value, max_sd.label,
@@ -88,7 +97,7 @@ TEST(Integration, PlacementStudyConsistentWithCampaign) {
   // The placement study's kNone baseline measures the same world as the
   // campaign: its mean must sit inside the campaign's cell-mean range.
   const core::KlagenfurtStudy study;
-  const auto report = study.run_campaign();
+  const auto report = run_campaign(study);
 
   topo::EuropeOptions options;
   options.local_breakout = true;
@@ -132,7 +141,7 @@ TEST(Integration, CampaignSeedSweepKeepsShape) {
     core::KlagenfurtStudy::Options options;
     options.campaign.seed = seed;
     const core::KlagenfurtStudy study{options};
-    const auto report = study.run_campaign();
+    const auto report = run_campaign(study);
     const auto wired = study.wired_baseline();
     const double ratio =
         report.mean_of_cell_means().mean() / wired.mean();

@@ -466,34 +466,11 @@ TEST(InplaceAction, DestroysCaptureExactlyOnce) {
 
 // ------------------------------------------------------------ ParallelRunner
 
-TEST(ParallelRunner, RunsEveryJobExactlyOnce) {
-  const ParallelRunner runner{4};
-  std::vector<std::atomic<int>> hits(257);
-  runner.run(hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelRunner, ZeroJobsIsNoop) {
-  const ParallelRunner runner{4};
-  bool called = false;
-  runner.run(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelRunner, MapPreservesIndexOrder) {
-  const ParallelRunner runner{4};
-  const auto squares = runner.map<int>(
-      100, [](std::size_t i) { return int(i * i); });
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[std::size_t(i)], i * i);
-}
-
 TEST(ParallelRunner, SingleThreadFallback) {
   const ParallelRunner runner{1};
   EXPECT_EQ(runner.thread_count(), 1u);
   std::vector<int> order;
-  runner.run(10, [&](std::size_t i) { order.push_back(int(i)); });
+  runner.run_chunked(10, 1, [&](std::size_t i) { order.push_back(int(i)); });
   // Single-threaded execution is strictly sequential.
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[std::size_t(i)], i);
 }
@@ -506,23 +483,23 @@ TEST(ParallelRunner, DefaultsToHardwareConcurrency) {
 TEST(ParallelRunner, ParallelEqualsSerialForSeededSimulations) {
   // The core determinism contract: simulations seeded via derive_seed
   // produce identical results regardless of the worker count.
-  const auto simulate = [](std::size_t i) {
-    Simulator sim{derive_seed(42, i)};
-    double acc = 0.0;
-    for (int k = 0; k < 100; ++k) acc += sim.rng().uniform();
-    return acc;
+  const auto simulate = [](const ParallelRunner& runner) {
+    std::vector<double> out(64);
+    runner.run_chunked(out.size(), 1, [&](std::size_t i) {
+      Simulator sim{derive_seed(42, i)};
+      double acc = 0.0;
+      for (int k = 0; k < 100; ++k) acc += sim.rng().uniform();
+      out[i] = acc;
+    });
+    return out;
   };
-  const ParallelRunner serial{1};
-  const ParallelRunner parallel{4};
-  const auto a = serial.map<double>(64, simulate);
-  const auto b = parallel.map<double>(64, simulate);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(simulate(ParallelRunner{1}), simulate(ParallelRunner{4}));
 }
 
 TEST(ParallelRunner, MoreJobsThanThreads) {
   const ParallelRunner runner{3};
   std::atomic<std::int64_t> sum{0};
-  runner.run(1000, [&](std::size_t i) {
+  runner.run_chunked(1000, 1, [&](std::size_t i) {
     sum.fetch_add(std::int64_t(i), std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 999 * 1000 / 2);
@@ -574,9 +551,11 @@ TEST(ParallelRunner, OversizedChunkEdgeCasesCoverEveryJobOnce) {
         EXPECT_EQ(h.load(), 1) << "jobs " << jobs << " chunk " << chunk;
     }
   }
-  bool called = false;
-  runner.run_chunked(0, 1000000, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{1000000}}) {
+    bool called = false;
+    runner.run_chunked(0, chunk, [&](std::size_t) { called = true; });
+    EXPECT_FALSE(called) << "chunk " << chunk;
+  }
 }
 
 TEST(ParallelRunner, ChunkSizeNeverChangesSeededResults) {
